@@ -83,6 +83,8 @@ def _cmd_find(args) -> int:
 
 
 def _cmd_list(args) -> int:
+    if args.limit < 0:
+        raise _UsageError(f"--limit must be 0 (unlimited) or more, not {args.limit}")
     g = _load_graph(args.graph)
     x = _name_list(g, args.x, "-x")
     y = _name_list(g, args.y, "-y")

@@ -22,6 +22,8 @@ from .errors import (
     AlreadyExpandedError,
     CyclicGraphError,
     DuplicateNodeError,
+    PreconditionError,
+    RemovedNodeError,
     SelfLoopError,
     UnexpandedBidirectedError,
     UnknownNodeError,
@@ -407,6 +409,32 @@ class MoralGraph:
 
     def neighbors_of(self, v: int) -> VarSet:
         return self.adjacency[v]
+
+    def observed_neighbors(self, v: int) -> VarSet:
+        """Observed nodes adjacent to ``v``, where latent nodes act as
+        pass-through hops.  Cached per node."""
+        if v in self.removed:
+            raise RemovedNodeError(f"node {v} was removed from the moral graph")
+        if self.latent[v]:
+            raise PreconditionError("neighbor expansion starts from an observed node")
+        cached = self._hop_cache.get(v)
+        if cached is not None:
+            return cached
+        out = set()
+        seen = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in self.adjacency[u]:
+                if w in seen:
+                    continue
+                seen.add(w)
+                if self.latent[w]:
+                    stack.append(w)
+                else:
+                    out.add(w)
+        result = self._hop_cache[v] = frozenset(out)
+        return result
 
     def remove(self, vs: Iterable[int]) -> "MoralGraph":
         """Copy of this graph with ``vs`` and their incident edges deleted."""

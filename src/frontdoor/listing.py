@@ -1,12 +1,13 @@
 """Polynomial-delay enumeration of all front-door adjustment sets.
 
-The enumerator explores a binary include/exclude search tree.  A tree
-node ``(i, r)`` stands for every admissible set ``z`` with ``i ⊆ z ⊆ r``;
-the node is pruned when no such set exists, checked with the same
-three-stage search the finder uses.  Sibling subtrees partition their
-parent's sets (one forces the pivot in, the other bans it), so each set
-is emitted exactly once and the work between two emissions stays within
-one root-to-leaf round trip: at most ``2n + 1`` feasibility checks.
+The enumerator walks a binary include/exclude search tree over one
+:class:`~frontdoor.search.FrontDoorEngine`.  A tree node ``(i, r)`` stands
+for every admissible set ``z`` with ``i ⊆ z ⊆ r``; the node is pruned
+when ``feasible(i, r)`` finds none, the same check ``find`` runs at the
+root.  Sibling subtrees partition their parent's sets (one forces the
+pivot in, the other bans it), so each set is emitted exactly once and
+the work between two emissions stays within one root-to-leaf round
+trip: at most ``2n + 1`` feasibility checks.
 
 The pivot is the lowest-index undecided variable and the include branch
 is explored first, which yields supersets before their subsets.
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .graph import ADMG, VarSet
-from .search import AdjustmentQuery, BlockingSearch, EMPTY
-from .separation import causal_path_graph, is_separated
+from .search import AdjustmentQuery, EMPTY, FrontDoorEngine
+# bench/tracing.py wraps these two names in this module's namespace
+from .separation import causal_path_graph, is_separated  # noqa: F401
 
 
 @dataclass
@@ -49,65 +51,16 @@ def list_adjustment_sets(
     ``limit`` truncates the stream after that many sets.  A ``stats``
     object, when given, is updated as the stream is consumed.
     """
-    query = AdjustmentQuery(g, frozenset(x), frozenset(y), frozenset(i),
-                            None if r is None else frozenset(r))
+    query = AdjustmentQuery(g, x, y, i, r)
     if stats is None:
         stats = ListStats()
 
-    # Everything the feasibility check derives from the graph alone is
-    # shared across tree nodes; the per-candidate back-door test and the
-    # stage-2/3 pipeline are memoized (they do not depend on the node's
-    # include-set except through membership checks).  The per-candidate
-    # setup runs now, before the first emission, to keep the delay flat.
-    gx = g.remove_outgoing(query.x)
-    cpg = causal_path_graph(g, query.x, query.y)
-    searcher = BlockingSearch(g, query.x, query.y)
-    passing = frozenset(
-        v for v in query.r
-        if is_separated(gx, query.x, frozenset((v,)), EMPTY)
-    )
-    for v in passing:
-        searcher.prepare(frozenset((v,)))
-    pipeline: dict[VarSet, tuple[VarSet, VarSet | None]] = {}
-
-    def intercepts(z: VarSet) -> bool:
-        # in a causal path graph every x-to-y path is directed, so
-        # separating x from y is the same as hitting every directed path
-        seen = set(query.x)
-        stack = [v for v in query.x]
-        while stack:
-            for w in cpg.children_of(stack.pop()):
-                if w in seen or w in z:
-                    continue
-                if w in query.y:
-                    return False
-                seen.add(w)
-                stack.append(w)
-        return True
-
-    def feasible(inc: VarSet, rest: VarSet) -> VarSet | None:
-        stats.find_calls += 1
-        pool = rest & passing
-        if not inc <= pool:
-            return None
-        entry = pipeline.get(pool)
-        if entry is None:
-            if not intercepts(pool):
-                # interception is monotone: a pool that misses some causal
-                # path dooms every subset, so skip the stage-2 walks
-                entry = (pool, None)
-            else:
-                survivors = frozenset(
-                    v for v in sorted(pool)
-                    if searcher.extension(frozenset((v,)), pool) is not None
-                )
-                answer = survivors if intercepts(survivors) else None
-                entry = (survivors, answer)
-            pipeline[pool] = entry
-        survivors, answer = entry
-        if not inc <= survivors:
-            return None
-        return answer
+    # The engine's set-up, and the walkers' graphs for every seed the tree
+    # can revisit across pools, are built now, before the first emission,
+    # to keep the delay flat.
+    engine = FrontDoorEngine(query)
+    for v in engine.pool:
+        engine.blocking.prepare(frozenset((v,)))
 
     def walk() -> Iterator[VarSet]:
         if limit is not None and limit <= 0:
@@ -116,7 +69,8 @@ def list_adjustment_sets(
         stack = [(query.i, query.r)]
         while stack:
             inc, rest = stack.pop()
-            if feasible(inc, rest) is None:
+            stats.find_calls += 1
+            if engine.feasible(inc, rest) is None:
                 continue
             if inc == rest:
                 stats.emitted += 1

@@ -1,19 +1,21 @@
-"""Finding one front-door adjustment set under interval constraints.
+"""One front-door engine for finding, listing and checking adjustment sets.
 
-Given a causal diagram, treatment ``x`` and outcome ``y``, the finder
-returns a set ``z`` with ``i ⊆ z ⊆ r`` satisfying the front-door
-criterion, or ``None`` when no such set exists.  It narrows the candidate
-pool in three stages:
+:class:`FrontDoorEngine`, bound to a query's graph, ``x``, ``y`` and root
+``r``, answers ``feasible(i, r)``: the largest set ``z`` with
+``i ⊆ z ⊆ r`` satisfying the front-door criterion, or ``None``.  Stage 1
+keeps the members of ``r`` with no open back-door path from ``x``
+(computed once for the root).  A pool that misses some causal path is
+rejected at once: interception is monotone, so no subset can hit that
+path.  Stage 2 (:class:`BlockingSearch`) drops every candidate that no
+admissible set can contain, and the survivors are the answer iff they
+intercept every causal path.  Stage 2 rests on a breadth-first walk over
+iteratively re-moralized ancestral graphs (``find_blocking_extension``),
+which doubles as a constructive search for the helpers a seed set needs.
 
-1. drop every candidate with an open back-door path from ``x``,
-2. drop every candidate that no admissible set can contain because some
-   back-door path it starts can never be blocked by ``x``,
-3. accept the surviving pool iff it intercepts all causal paths from
-   ``x`` to ``y``.
-
-Stage 2 rests on a breadth-first walk over iteratively re-moralized
-ancestral graphs (``find_blocking_extension``); the walk doubles as a
-constructive search for the helpers a given seed set needs.
+``find_adjustment_set`` is ``feasible(i, r)`` at the root, and
+``list_adjustment_sets`` walks an include/exclude tree of such checks
+over one engine.  ``check_criterion`` tests condition 1 with the same
+interception walk, whose missed causal path is the witness.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import OverlappingSetsError, PreconditionError, RemovedNodeError
+from .errors import OverlappingSetsError, PreconditionError
 from .graph import ADMG, MoralGraph, VarSet
 from .separation import (
     causal_path_graph,
@@ -40,7 +42,8 @@ class AdjustmentQuery:
 
     ``i`` collects variables the answer must include, ``r`` the variables
     it may include.  ``r`` defaults to every observed variable outside
-    ``x`` and ``y``.
+    ``x`` and ``y``.  Each set may be given as any iterable of indices and
+    is stored as a frozenset.
     """
 
     graph: ADMG
@@ -90,24 +93,23 @@ class CriterionReport:
         return self.condition1 and self.condition2 and self.condition3
 
 
-def _directed_witness(cpg: ADMG, x: VarSet, y: VarSet, z: VarSet) -> str | None:
-    """A directed path from x to y avoiding z in the causal path graph."""
-    pred = {}
+def _missed_causal_path(cpg: ADMG, x: VarSet, y: VarSet, z: VarSet) -> list[int] | None:
+    """A shortest directed path from ``x`` to ``y`` avoiding ``z`` in the
+    causal path graph ``cpg``, or None when ``z`` intercepts them all."""
+    pred = dict.fromkeys(x)
     queue = deque(sorted(x))
-    for s in x:
-        pred[s] = None
     while queue:
         v = queue.popleft()
-        for w in sorted(cpg.children_of(v)):
+        for w in cpg.children_of(v):
             if w in pred or w in z:
                 continue
             pred[w] = v
             if w in y:
-                nodes = [w]
-                while pred[nodes[-1]] is not None:
-                    nodes.append(pred[nodes[-1]])
-                nodes.reverse()
-                return " -> ".join(cpg.names[u] for u in nodes)
+                path = [w]
+                while pred[path[-1]] is not None:
+                    path.append(pred[path[-1]])
+                path.reverse()
+                return path
             queue.append(w)
     return None
 
@@ -123,8 +125,8 @@ def check_criterion(g: ADMG, x: Iterable[int], y: Iterable[int], z: Iterable[int
     if x & y or x & z or y & z:
         raise OverlappingSetsError("x, y and z must be pairwise disjoint")
 
-    cpg = causal_path_graph(g, x, y)
-    cond1 = is_separated(cpg, x, y, z)
+    missed = _missed_causal_path(causal_path_graph(g, x, y), x, y, z)
+    cond1 = missed is None
 
     cond2 = True
     witness2 = None
@@ -146,7 +148,7 @@ def check_criterion(g: ADMG, x: Iterable[int], y: Iterable[int], z: Iterable[int
         witness3 = None
 
     if not cond1:
-        witness = _directed_witness(cpg, x, y, z)
+        witness = " -> ".join(g.names[v] for v in missed)
     elif not cond2:
         witness = witness2
     elif not cond3:
@@ -173,69 +175,45 @@ def second_condition_candidates(g: ADMG, x: VarSet, i: VarSet, r: VarSet) -> Var
     return frozenset(kept)
 
 
-def observed_neighbors(moral: MoralGraph, v: int) -> VarSet:
-    """Observed nodes adjacent to ``v`` in the moral graph, where latent
-    nodes act as pass-through hops."""
-    if v in moral.removed:
-        raise RemovedNodeError(f"node {v} was removed from the moral graph")
-    if moral.latent[v]:
-        raise PreconditionError("neighbor expansion starts from an observed node")
-    cached = moral._hop_cache.get(v)
-    if cached is not None:
-        return cached
-    out = set()
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in moral.neighbors_of(u):
-            if w in seen:
-                continue
-            seen.add(w)
-            if moral.latent[w]:
-                stack.append(w)
-            else:
-                out.add(w)
-    result = frozenset(out)
-    moral._hop_cache[v] = result
-    return result
+# the walk's neighbour expansion, exported as a function of the moral graph
+observed_neighbors = MoralGraph.observed_neighbors
+
+
+class _Morals(dict):
+    """One seed's ancestral, latent-expanded core, and its cut moral
+    graphs by cut set, built on first lookup."""
+
+    def __init__(self, g: ADMG, t: VarSet, x: VarSet, y: VarSet):
+        super().__init__()
+        self.core = g.induced_subgraph(g.ancestors(t | x | y)).expand_latents()
+        self.x = x
+
+    def __missing__(self, cut: VarSet) -> MoralGraph:
+        moral = self[cut] = self.core.moral_after_cut(cut, self.x)
+        return moral
 
 
 class BlockingSearch:
     """The stage-2 walker bound to one ``(graph, x, y)`` query.
 
-    The walk only ever consults pure functions of the seed set and the
-    accumulated cut set (the ancestral core and its cut moral graphs), so
-    a searcher caches them and may be reused across candidate pools; the
-    enumerator leans on this to keep its delay flat.
+    The walk only consults pure functions of the seed set and the
+    accumulated cut set: the seed's ancestral core and its cut moral
+    graphs.  They are kept across walks for prepared seeds only, which
+    the enumerator walks over many candidate pools; a single pool walks
+    each seed once and would only pay memory for a cache.
     """
 
     def __init__(self, g: ADMG, x: VarSet, y: VarSet):
         self.g = g
         self.x = x
         self.y = y
-        self._cores: dict[VarSet, ADMG] = {}
-        self._morals: dict[tuple[VarSet, VarSet], MoralGraph] = {}
-
-    def _core(self, t: VarSet) -> ADMG:
-        core = self._cores.get(t)
-        if core is None:
-            g = self.g
-            core = g.induced_subgraph(g.ancestors(t | self.x | self.y)).expand_latents()
-            self._cores[t] = core
-        return core
-
-    def _moral(self, t: VarSet, cut: VarSet) -> MoralGraph:
-        key = (t, cut)
-        moral = self._morals.get(key)
-        if moral is None:
-            moral = self._core(t).moral_after_cut(cut, self.x)
-            self._morals[key] = moral
-        return moral
+        self._kept: dict[VarSet, _Morals] = {}
 
     def prepare(self, t: VarSet) -> None:
-        """Build the seed set's core and starting moral graph up front."""
-        self._moral(t, t)
+        """Keep the seed set's graphs across walks, building its core and
+        starting moral graph now."""
+        morals = self._kept[t] = _Morals(self.g, t, self.x, self.y)
+        morals[t]  # the walk's starting moral graph
 
     def extension(self, t: VarSet, pool: VarSet) -> VarSet | None:
         if not t <= pool:
@@ -244,8 +222,11 @@ class BlockingSearch:
             raise PreconditionError("x, y and t must be pairwise disjoint")
         g = self.g
         y = self.y
+        morals = self._kept.get(t)
+        if morals is None:
+            morals = _Morals(g, t, self.x, y)
         cut = frozenset(t)
-        moral = self._moral(t, cut)
+        moral = morals[cut]
         grown: set[int] = set()
         visited = set(t)
         queue = deque(sorted(t))
@@ -257,13 +238,21 @@ class BlockingSearch:
             if fresh:
                 cut |= fresh
                 grown |= fresh
-                moral = self._moral(t, cut)
+                moral = morals[cut]
             spread = observed_neighbors(moral, u) - visited
             arrowed = {w for w in fresh if g.has_incoming_arrow(w)}
             step = spread | arrowed
             visited |= step
             queue.extend(sorted(step))
         return frozenset(grown)
+
+    def survivors(self, pool: VarSet) -> VarSet:
+        """Members of ``pool`` that some set within ``pool`` containing
+        them can satisfy the third condition with."""
+        return frozenset(
+            v for v in sorted(pool)
+            if self.extension(frozenset((v,)), pool) is not None
+        )
 
 
 def find_blocking_extension(
@@ -285,15 +274,49 @@ def third_condition_candidates(
     g: ADMG, x: VarSet, y: VarSet, i: VarSet, pool: VarSet
 ) -> VarSet | None:
     """Members of ``pool`` that some set within ``[i, pool]`` containing
-    them can satisfy the third condition with; None as soon as a member of
+    them can satisfy the third condition with; None when a member of
     ``i`` cannot be accommodated."""
-    kept = set()
-    for v in sorted(pool):
-        if find_blocking_extension(g, x, y, frozenset((v,)), pool) is not None:
-            kept.add(v)
-        elif v in i:
+    kept = BlockingSearch(g, x, y).survivors(frozenset(pool))
+    return kept if i <= kept else None
+
+
+class FrontDoorEngine:
+    """Feasibility checks for one validated query, shared by ``find`` and
+    ``list``.
+
+    Binds the graph, ``x`` and ``y``, the causal path graph, the stage-1
+    pool of the query's ``r`` and one :class:`BlockingSearch`.  Answers
+    are memoized per candidate pool: they depend on a check's include set
+    only through a final membership test.
+    """
+
+    def __init__(self, query: AdjustmentQuery):
+        g = query.graph
+        self.x = query.x
+        self.y = query.y
+        self.cpg = causal_path_graph(g, query.x, query.y)
+        self.pool = second_condition_candidates(g, query.x, EMPTY, query.r)
+        self.blocking = BlockingSearch(g, query.x, query.y)
+        self._answers: dict[VarSet, VarSet | None] = {}
+
+    def intercepts(self, z: VarSet) -> bool:
+        return _missed_causal_path(self.cpg, self.x, self.y, z) is None
+
+    def feasible(self, i: VarSet, r: VarSet) -> VarSet | None:
+        """The largest admissible set within ``[i, r]`` for ``r`` inside
+        the query's ``r``, or None when that interval holds none."""
+        pool = r & self.pool
+        if not i <= pool:
             return None
-    return frozenset(kept)
+        if pool in self._answers:
+            answer = self._answers[pool]
+        elif not self.intercepts(pool):
+            answer = self._answers[pool] = None
+        else:
+            survivors = self.blocking.survivors(pool)
+            answer = survivors if self.intercepts(survivors) else None
+            self._answers[pool] = answer
+        return answer if answer is not None and i <= answer else None
 
 
 def find_adjustment_set(
@@ -311,15 +334,5 @@ def find_adjustment_set(
     Runs in polynomial time; the empty set is a legal answer exactly when
     the graph has no causal path from ``x`` to ``y``.
     """
-    query = AdjustmentQuery(g, frozenset(x), frozenset(y), frozenset(i),
-                            None if r is None else frozenset(r))
-    pool = second_condition_candidates(g, query.x, query.i, query.r)
-    if pool is None:
-        return None
-    final = third_condition_candidates(g, query.x, query.y, query.i, pool)
-    if final is None:
-        return None
-    cpg = causal_path_graph(g, query.x, query.y)
-    if is_separated(cpg, query.x, query.y, final):
-        return final
-    return None
+    query = AdjustmentQuery(g, x, y, i, r)
+    return FrontDoorEngine(query).feasible(query.i, query.r)

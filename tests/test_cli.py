@@ -89,6 +89,13 @@ def test_list_limit_and_json(intro_file, capsys):
     ]
 
 
+def test_list_negative_limit_is_usage_error(intro_file, capsys):
+    code, out, err = run(capsys, "list", "-g", intro_file, "-x", "X", "-y", "Y",
+                         "--limit", "-1")
+    assert (code, out) == (2, "")
+    assert "--limit" in err
+
+
 def test_list_empty_exit(intro_file, capsys):
     code, out, _ = run(capsys, "list", "-g", intro_file, "-x", "X", "-y", "Y", "-i", "D")
     assert (code, out) == (1, "")
@@ -106,6 +113,20 @@ def test_check_fail_with_witness(intro_file, capsys):
     assert code == 1
     assert "overall: FAIL" in out
     assert "witness: X -> A -> Y" in out
+
+
+def test_check_condition1_pass_with_later_failure(tmp_path, capsys):
+    path = tmp_path / "g.cg"
+    path.write_text("X -> A\nX -> C\nC -> B\nB -> A\nA -> Y\nB -> Y\n")
+    code, out, _ = run(capsys, "check", "-g", str(path), "-x", "X", "-y", "Y", "-z", "A,C")
+    assert code == 1
+    assert out.splitlines() == [
+        "condition 1 (intercepts all causal paths): PASS",
+        "condition 2 (no open back-door path into the set): PASS",
+        "condition 3 (back-door paths to outcome blocked): FAIL",
+        "witness: A <- B -> Y",
+        "overall: FAIL",
+    ]
 
 
 def test_estimand(canon_file, capsys):

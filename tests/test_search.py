@@ -11,6 +11,7 @@ from frontdoor import (
     find_adjustment_set,
     find_blocking_extension,
     is_separated,
+    list_adjustment_sets,
     observed_neighbors,
     second_condition_candidates,
     third_condition_candidates,
@@ -21,8 +22,10 @@ from frontdoor.oracle import (
     front_door_oracle,
     random_admg,
 )
+from frontdoor.search import BlockingSearch
 
 from conftest import ix
+from test_acceptance import _scaling_admg
 
 
 # -- criterion checker -------------------------------------------------
@@ -50,6 +53,20 @@ def test_check_intro_backdoor_failure(intro):
     assert not report.condition2  # open back-door X <-> D
     assert report.condition1
     assert report.witness == "X <-> D"
+
+
+def test_check_condition1_with_collider_in_causal_path_graph():
+    # {A, C} hits every causal path (X -> A -> Y, X -> C -> B -> A -> Y,
+    # X -> C -> B -> Y), but in the causal path graph it holds the collider
+    # A of X -> A <- B -> Y, so d-separation there misjudges condition 1
+    g = build_graph(["X", "A", "B", "C", "Y"],
+                    [("X", "A"), ("X", "C"), ("C", "B"), ("B", "A"),
+                     ("A", "Y"), ("B", "Y")])
+    report = check_criterion(g, ix(g, "X"), ix(g, "Y"), ix(g, "A,C"))
+    assert report.condition1 and report.condition2
+    assert not report.condition3
+    assert not report.satisfied
+    assert report.witness == "A <- B -> Y"
 
 
 def test_check_empty_set(intro, canon):
@@ -194,6 +211,20 @@ def test_find_reference_cases(canon, intro):
     assert find_adjustment_set(canon, ix(canon, "X"), ix(canon, "Y"), r=ix(canon, "Z")) == ix(canon, "Z")
 
 
+def test_find_rejects_before_stage2(monkeypatch):
+    # the stage-1 pool {W} misses X -> M -> Y (M has the open back-door
+    # path X <-> M), so no subset can intercept it and stage 2 never runs
+    g = build_graph(["X", "M", "W", "Y"],
+                    [("X", "M"), ("M", "Y"), ("X", "W")], [("X", "M")])
+
+    def no_walk(self, t, pool):
+        raise AssertionError("stage 2 ran")
+
+    monkeypatch.setattr(BlockingSearch, "extension", no_walk)
+    assert second_condition_candidates(g, ix(g, "X"), frozenset(), ix(g, "M,W")) == ix(g, "W")
+    assert find_adjustment_set(g, ix(g, "X"), ix(g, "Y")) is None
+
+
 def test_find_empty_answer_degenerate():
     g = build_graph(["X", "Y", "W"], [("Y", "X"), ("W", "Y")], [("X", "W")])
     z = find_adjustment_set(g, ix(g, "X"), ix(g, "Y"))
@@ -333,3 +364,32 @@ def test_blocking_extension_matches_subset_enumeration():
             if got is not None:
                 assert got <= pool - t
                 assert cond3_holds(g, t | got, y, x)
+
+
+def _find_equals_first_listed(g, x, y, i=frozenset(), r=None):
+    z = find_adjustment_set(g, x, y, i, r)
+    assert z == next(list_adjustment_sets(g, x, y, i, r, limit=1), None)
+    if z is not None:
+        assert check_criterion(g, x, y, z).satisfied
+    return z
+
+
+def test_find_is_first_listed_beyond_oracle_sizes():
+    # past the 12-node oracles: find answers exactly what the include-first
+    # enumeration emits first, and what it answers passes the checker
+    rng = random.Random(2024)
+    answered = 0
+    for _ in range(150):
+        g = random_admg(rng, rng.randint(15, 26), rng.choice((0.1, 0.15, 0.2)),
+                        max_bidirected=4)
+        nodes = sorted(g.nodes)
+        x = frozenset({rng.choice(nodes[:len(nodes) // 2])})
+        y = frozenset({rng.choice(nodes[len(nodes) // 2:])})
+        r = frozenset(v for v in g.nodes - x - y if rng.random() < 0.9)
+        i = frozenset(v for v in r if rng.random() < 0.05)
+        answered += _find_equals_first_listed(g, x, y, i, r) is not None
+    assert answered > 50
+    for n, seed, x in ((80, 3, 0), (80, 1, 1), (120, 2, 1), (160, 4, 0),
+                       (200, 3, 1), (200, 4, 1)):
+        g = _scaling_admg(n, seed)
+        _find_equals_first_listed(g, frozenset({x}), frozenset({3 * n // 4}))
