@@ -46,7 +46,7 @@ class ADMG:
     """
 
     __slots__ = ("names", "nodes", "latent", "_index", "_parents", "_children",
-                 "_spouses", "_moral_plans")
+                 "_spouses")
 
     def __init__(
         self,
@@ -90,7 +90,6 @@ class ADMG:
         self._parents = tuple(frozenset(s) for s in parents)
         self._children = tuple(frozenset(s) for s in children)
         self._spouses = tuple(frozenset(s) for s in spouses)
-        self._moral_plans = {}
         self._check_acyclic()
 
     @staticmethod
@@ -123,7 +122,6 @@ class ADMG:
         g._parents = parents
         g._children = children
         g._spouses = spouses
-        g._moral_plans = {}
         return g
 
     # -- lookups ---------------------------------------------------------
@@ -326,39 +324,27 @@ class ADMG:
     def moral_after_cut(self, cut: Iterable[int], drop: Iterable[int]) -> "MoralGraph":
         """Moralize with the outgoing edges of ``cut`` removed and ``drop``
         deleted afterwards, in one pass; equivalent to
-        ``remove_outgoing(cut).moralize().remove(drop)``.  The search walk
-        rebuilds moral graphs constantly, so this path stays lean."""
+        ``remove_outgoing(cut).moralize().remove(drop)``."""
         cut = frozenset(cut)
         drop = frozenset(drop)
-        plan = self._moral_plans.get(drop)
-        if plan is None:
-            # fix the drop-independent part once: surviving parent lists,
-            # with dropped children degraded to marriage-only entries
-            plan = []
-            for v in self.nodes:
-                if self._spouses[v]:
-                    raise UnexpandedBidirectedError(
-                        "moralize a latent-expanded graph (call expand_latents first)"
-                    )
-                kept = tuple(p for p in self._parents[v] if p not in drop)
-                if kept:
-                    plan.append((v if v not in drop else None, kept))
-            self._moral_plans[drop] = plan
         adj: list[set] = [set() for _ in range(len(self.names))]
-        for v, kept in plan:
-            ps = [p for p in kept if p not in cut]
-            if v is not None:
+        for v in self.nodes:
+            if self._spouses[v]:
+                raise UnexpandedBidirectedError(
+                    "moralize a latent-expanded graph (call expand_latents first)"
+                )
+            ps = [p for p in self._parents[v] if p not in drop and p not in cut]
+            if v not in drop:
                 av = adj[v]
                 for p in ps:
                     av.add(p)
                     adj[p].add(v)
             # marriages between surviving co-parents outlive a dropped child
-            if len(ps) > 1:
-                for a, p in enumerate(ps):
-                    ap = adj[p]
-                    for q in ps[a + 1:]:
-                        ap.add(q)
-                        adj[q].add(p)
+            for a, p in enumerate(ps):
+                ap = adj[p]
+                for q in ps[a + 1:]:
+                    ap.add(q)
+                    adj[q].add(p)
         return MoralGraph(
             nodes=self.nodes - drop,
             latent=self.latent,
@@ -389,6 +375,25 @@ class ADMG:
         )
 
 
+def _through_latents(v: int, neighbors, is_latent) -> VarSet:
+    """Observed nodes adjacent to ``v`` under ``neighbors``, where latent
+    nodes act as pass-through hops."""
+    out = set()
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for w in neighbors(u):
+            if w in seen:
+                continue
+            seen.add(w)
+            if is_latent(w):
+                stack.append(w)
+            else:
+                out.add(w)
+    return frozenset(out)
+
+
 class MoralGraph:
     """Undirected graph produced by :meth:`ADMG.moralize`.
 
@@ -398,43 +403,25 @@ class MoralGraph:
     read-only.
     """
 
-    __slots__ = ("nodes", "latent", "adjacency", "removed", "_hop_cache")
+    __slots__ = ("nodes", "latent", "adjacency", "removed")
 
     def __init__(self, nodes, latent, adjacency, removed):
         self.nodes = nodes
         self.latent = latent
         self.adjacency = adjacency
         self.removed = removed
-        self._hop_cache: dict[int, VarSet] = {}
 
     def neighbors_of(self, v: int) -> VarSet:
         return self.adjacency[v]
 
     def observed_neighbors(self, v: int) -> VarSet:
         """Observed nodes adjacent to ``v``, where latent nodes act as
-        pass-through hops.  Cached per node."""
+        pass-through hops."""
         if v in self.removed:
             raise RemovedNodeError(f"node {v} was removed from the moral graph")
         if self.latent[v]:
             raise PreconditionError("neighbor expansion starts from an observed node")
-        cached = self._hop_cache.get(v)
-        if cached is not None:
-            return cached
-        out = set()
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in self.adjacency[u]:
-                if w in seen:
-                    continue
-                seen.add(w)
-                if self.latent[w]:
-                    stack.append(w)
-                else:
-                    out.add(w)
-        result = self._hop_cache[v] = frozenset(out)
-        return result
+        return _through_latents(v, self.adjacency.__getitem__, self.latent.__getitem__)
 
     def remove(self, vs: Iterable[int]) -> "MoralGraph":
         """Copy of this graph with ``vs`` and their incident edges deleted."""
@@ -461,6 +448,70 @@ class MoralGraph:
 
     def __repr__(self):
         return f"MoralGraph({len(self.nodes)} nodes, {len(self.edges)} edges)"
+
+
+class CutMoralRows:
+    """The moral graph of a latent-expanded graph, restricted to the nodes
+    ``within`` and with ``drop`` deleted, under any cut, read off rows
+    stored once.
+
+    Per node, ``up`` holds its parents, ``down`` its children and ``wed``
+    its co-parents, each inside ``within`` and outside ``drop``;
+    marriages through a dropped child still count.  Cutting a node's
+    outgoing edges removes exactly its child edges and the marriages
+    through its children, so under a cut ``C`` the moral neighbours of
+    ``u`` are ``up[u] - C`` when ``u`` is in ``C`` and ``((up[u] |
+    wed[u]) - C) | down[u]`` otherwise.  ``C`` holds observed nodes
+    outside ``drop``.  The answers equal those of
+    ``induced_subgraph(within).moral_after_cut(C, drop)`` followed by
+    :meth:`MoralGraph.observed_neighbors`, with no graph rebuilt.
+    """
+
+    __slots__ = ("up", "down", "wed", "latents")
+
+    def __init__(self, g: ADMG, drop: VarSet, within: VarSet):
+        if any(g._spouses):
+            raise UnexpandedBidirectedError(
+                "moralize a latent-expanded graph (call expand_latents first)"
+            )
+        keep = within - drop
+        n = len(g.names)
+        up = self.up = [EMPTY] * n
+        down = self.down = [EMPTY] * n
+        wed = self.wed = [EMPTY] * n
+        for v in keep:
+            up[v] = g._parents[v] & keep
+            down[v] = g._children[v] & keep
+        # the kept parents of every child, dropped or not, marry each other
+        mates: list[set | None] = [None] * n
+        for c in within:
+            ps = g._parents[c] & keep if c in drop else up[c]
+            if len(ps) > 1:
+                for p in ps:
+                    if mates[p] is None:
+                        mates[p] = set(ps)
+                    else:
+                        mates[p] |= ps
+        for v in keep:
+            if mates[v] is not None:
+                mates[v].discard(v)
+                wed[v] = frozenset(mates[v])
+        self.latents = frozenset(v for v in within if g.latent[v])
+
+    def neighbors_of(self, u: int, cut) -> VarSet:
+        if u in cut:
+            return self.up[u] - cut
+        return ((self.up[u] | self.wed[u]) - cut) | self.down[u]
+
+    def observed_neighbors(self, v: int, cut) -> VarSet:
+        """Observed moral neighbours of the observed node ``v`` under
+        ``cut``, where latent nodes act as pass-through hops."""
+        near = self.neighbors_of(v, cut)
+        if self.latents.isdisjoint(near):
+            return near
+        return _through_latents(
+            v, lambda u: self.neighbors_of(u, cut), self.latents.__contains__
+        )
 
 
 def build_graph(

@@ -9,8 +9,11 @@ pivot in, the other bans it), so each set is emitted exactly once and
 the work between two emissions stays within one root-to-leaf round
 trip: at most ``2n + 1`` feasibility checks.
 
-The pivot is the lowest-index undecided variable and the include branch
-is explored first, which yields supersets before their subsets.
+A node's pivot is the lowest-index undecided member of the largest set
+that ``feasible`` returns, and both children are narrowed to that set:
+no admissible set in the interval holds a variable outside it.  The
+include branch is explored first, which yields supersets before their
+subsets.
 """
 
 from __future__ import annotations
@@ -70,17 +73,18 @@ def list_adjustment_sets(
         while stack:
             inc, rest = stack.pop()
             stats.find_calls += 1
-            if engine.feasible(inc, rest) is None:
+            largest = engine.feasible(inc, rest)
+            if largest is None:
                 continue
-            if inc == rest:
+            if inc == largest:
                 stats.emitted += 1
                 emitted += 1
                 yield inc
                 if limit is not None and emitted >= limit:
                     return
             else:
-                v = min(rest - inc)
-                stack.append((inc, rest - {v}))
-                stack.append((inc | {v}, rest))
+                v = min(largest - inc)
+                stack.append((inc, largest - {v}))
+                stack.append((inc | {v}, largest))
 
     return walk()

@@ -9,8 +9,10 @@ rejected at once: interception is monotone, so no subset can hit that
 path.  Stage 2 (:class:`BlockingSearch`) drops every candidate that no
 admissible set can contain, and the survivors are the answer iff they
 intercept every causal path.  Stage 2 rests on a breadth-first walk over
-iteratively re-moralized ancestral graphs (``find_blocking_extension``),
-which doubles as a constructive search for the helpers a seed set needs.
+the moral graph of an ancestral graph whose cut grows as the walk
+recruits candidates (``find_blocking_extension``); the walk reads that
+graph off rows stored once per seed and rebuilds nothing.  It doubles as
+a constructive search for the helpers a seed set needs.
 
 ``find_adjustment_set`` is ``feasible(i, r)`` at the root, and
 ``list_adjustment_sets`` walks an include/exclude tree of such checks
@@ -22,10 +24,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import OverlappingSetsError, PreconditionError
-from .graph import ADMG, MoralGraph, VarSet
+from .graph import ADMG, CutMoralRows, MoralGraph, VarSet
 from .separation import (
     causal_path_graph,
     connecting_path,
@@ -175,76 +178,77 @@ def second_condition_candidates(g: ADMG, x: VarSet, i: VarSet, r: VarSet) -> Var
     return frozenset(kept)
 
 
-# the walk's neighbour expansion, exported as a function of the moral graph
+# a moral graph's neighbour expansion, under its public name
 observed_neighbors = MoralGraph.observed_neighbors
-
-
-class _Morals(dict):
-    """One seed's ancestral, latent-expanded core, and its cut moral
-    graphs by cut set, built on first lookup."""
-
-    def __init__(self, g: ADMG, t: VarSet, x: VarSet, y: VarSet):
-        super().__init__()
-        self.core = g.induced_subgraph(g.ancestors(t | x | y)).expand_latents()
-        self.x = x
-
-    def __missing__(self, cut: VarSet) -> MoralGraph:
-        moral = self[cut] = self.core.moral_after_cut(cut, self.x)
-        return moral
 
 
 class BlockingSearch:
     """The stage-2 walker bound to one ``(graph, x, y)`` query.
 
-    The walk only consults pure functions of the seed set and the
-    accumulated cut set: the seed's ancestral core and its cut moral
-    graphs.  They are kept across walks for prepared seeds only, which
-    the enumerator walks over many candidate pools; a single pool walks
-    each seed once and would only pay memory for a cache.
+    A walk from seed set ``t`` runs on the moral graph of the seed's
+    ancestral, latent-expanded core with ``x`` deleted, under a cut that
+    grows as the walk recruits pool members.  The core stores that moral
+    graph's rows once (:class:`CutMoralRows`), and each step reads a
+    node's neighbours under the current cut off them.  Cores are kept
+    across walks for prepared seeds only, which the enumerator walks over
+    many candidate pools; a single pool walks each seed once.
     """
 
     def __init__(self, g: ADMG, x: VarSet, y: VarSet):
         self.g = g
         self.x = x
         self.y = y
-        self._kept: dict[VarSet, _Morals] = {}
+        self.arrowheads = frozenset(v for v in g.nodes if g.has_incoming_arrow(v))
+        self._kept: dict[VarSet, CutMoralRows] = {}
+
+    @cached_property
+    def _expanded(self) -> ADMG:
+        return self.g.expand_latents()
+
+    @cached_property
+    def _confounders(self) -> list[tuple[int, VarSet]]:
+        """The expanded graph's latent nodes, each with its two children."""
+        ex = self._expanded
+        return [(v, ex.children_of(v)) for v in ex.nodes - self.g.nodes]
+
+    def _core(self, t: VarSet) -> CutMoralRows:
+        """Rows of the seed's core: its ancestral subgraph with a latent
+        parent for each bidirected edge inside it, and ``x`` deleted."""
+        within = self.g.ancestors(t | self.x | self.y)
+        within |= {v for v, pair in self._confounders if pair <= within}
+        return CutMoralRows(self._expanded, self.x, within)
 
     def prepare(self, t: VarSet) -> None:
-        """Keep the seed set's graphs across walks, building its core and
-        starting moral graph now."""
-        morals = self._kept[t] = _Morals(self.g, t, self.x, self.y)
-        morals[t]  # the walk's starting moral graph
+        """Keep the seed set's core across walks, building it now."""
+        self._kept[t] = self._core(t)
 
     def extension(self, t: VarSet, pool: VarSet) -> VarSet | None:
         if not t <= pool:
             raise PreconditionError("t must be a subset of the candidate pool")
         if t & self.x or t & self.y or self.x & self.y:
             raise PreconditionError("x, y and t must be pairwise disjoint")
-        g = self.g
         y = self.y
-        morals = self._kept.get(t)
-        if morals is None:
-            morals = _Morals(g, t, self.x, y)
-        cut = frozenset(t)
-        moral = morals[cut]
-        grown: set[int] = set()
+        arrowheads = self.arrowheads
+        core = self._kept.get(t)
+        if core is None:
+            core = self._core(t)
+        hop = core.observed_neighbors
+        cut = set(t)
         visited = set(t)
         queue = deque(sorted(t))
         while queue:
             u = queue.popleft()
             if u in y:
                 return None
-            fresh = (observed_neighbors(moral, u) & pool) - visited
+            near = hop(u, cut)
+            fresh = (near & pool) - visited
             if fresh:
                 cut |= fresh
-                grown |= fresh
-                moral = morals[cut]
-            spread = observed_neighbors(moral, u) - visited
-            arrowed = {w for w in fresh if g.has_incoming_arrow(w)}
-            step = spread | arrowed
+                near = hop(u, cut)
+            step = (near - visited) | (fresh & arrowheads)
             visited |= step
             queue.extend(sorted(step))
-        return frozenset(grown)
+        return frozenset(cut - t)
 
     def survivors(self, pool: VarSet) -> VarSet:
         """Members of ``pool`` that some set within ``pool`` containing
@@ -264,8 +268,9 @@ def find_blocking_extension(
     The moral graph of the ancestral, latent-expanded subgraph is wired so
     that its paths from ``t`` to ``y`` are exactly the back-door paths
     that ``x`` fails to block.  The walk cuts the outgoing edges of every
-    pool member it meets (recruiting it) and re-moralizes; reaching ``y``
-    anyway means some offending path survives all available cuts.
+    pool member it meets (recruiting it) and goes on in the moral graph
+    under the grown cut; reaching ``y`` anyway means some offending path
+    survives all available cuts.
     """
     return BlockingSearch(g, x, y).extension(frozenset(t), frozenset(pool))
 
@@ -287,7 +292,9 @@ class FrontDoorEngine:
     Binds the graph, ``x`` and ``y``, the causal path graph, the stage-1
     pool of the query's ``r`` and one :class:`BlockingSearch`.  Answers
     are memoized per candidate pool: they depend on a check's include set
-    only through a final membership test.
+    only through a final membership test.  An answer is also memoized
+    under its own pool, because the largest admissible set within it is
+    itself.
     """
 
     def __init__(self, query: AdjustmentQuery):
@@ -316,6 +323,8 @@ class FrontDoorEngine:
             survivors = self.blocking.survivors(pool)
             answer = survivors if self.intercepts(survivors) else None
             self._answers[pool] = answer
+            if answer is not None:
+                self._answers[answer] = answer
         return answer if answer is not None and i <= answer else None
 
 

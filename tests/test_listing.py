@@ -1,13 +1,21 @@
 import random
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
-from frontdoor import PreconditionError, list_adjustment_sets
+from frontdoor import (
+    PreconditionError,
+    build_graph,
+    check_criterion,
+    find_adjustment_set,
+    list_adjustment_sets,
+)
 from frontdoor.listing import ListStats
 from frontdoor.oracle import enumerate_all_oracle, random_admg
+from frontdoor.search import BlockingSearch
 
 from conftest import chain_family, ix
+from test_acceptance import _scaling_admg
 
 
 def test_reference_order(intro):
@@ -90,3 +98,40 @@ def test_laziness(intro):
     partial = stats.find_calls
     list(stream)
     assert partial < stats.find_calls
+
+
+def test_first_set_costs_one_stage2_pass(monkeypatch):
+    # W passes stage 1 but stage 2 drops it (W <-> Y stays open whatever is
+    # cut), and W is indexed below the answer {M}.  The walk narrows to the
+    # engine's answer, so the first set needs no second stage-2 pass.
+    g = build_graph(["W", "X", "M", "Y"], [("X", "M"), ("M", "Y")],
+                    [("X", "Y"), ("W", "Y")])
+    passes = []
+    survivors = BlockingSearch.survivors
+
+    def counted(self, pool):
+        passes.append(pool)
+        return survivors(self, pool)
+
+    monkeypatch.setattr(BlockingSearch, "survivors", counted)
+    got = list(list_adjustment_sets(g, ix(g, "X"), ix(g, "Y"), limit=1))
+    assert got == [ix(g, "M")]
+    assert passes == [ix(g, "W,M")]
+
+
+def test_drains_large_query_in_bounded_work():
+    # every admissible set lies inside find's answer, so the stream is the
+    # family of the answer's subsets that pass the checker
+    g = _scaling_admg(200, 5)
+    x, y = frozenset({1}), frozenset({150})
+    z = find_adjustment_set(g, x, y)
+    assert z == g.indices(f"V{k}" for k in range(2, 8))
+    got = list(list_adjustment_sets(g, x, y))
+    family = {
+        frozenset(sub)
+        for k in range(len(z) + 1)
+        for sub in combinations(sorted(z), k)
+        if check_criterion(g, x, y, sub).satisfied
+    }
+    assert len(got) == len(set(got)) == 6
+    assert set(got) == family

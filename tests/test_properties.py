@@ -3,7 +3,8 @@
 import random
 from collections import deque
 
-from frontdoor import is_separated
+from frontdoor import is_separated, observed_neighbors
+from frontdoor.graph import CutMoralRows
 from frontdoor.oracle import d_separated_oracle, random_admg
 
 
@@ -78,6 +79,7 @@ def test_fast_separation_agrees_with_oracle_everywhere():
 
 
 def test_fused_cut_moral_matches_composition():
+    aside = random.Random(405)
     for rng, g in _graphs(404, 80, max_nodes=7):
         core = g.expand_latents()
         observed = sorted(g.nodes)
@@ -88,3 +90,14 @@ def test_fused_cut_moral_matches_composition():
         assert fused.edges == composed.edges
         assert fused.nodes == composed.nodes
         assert fused.removed == composed.removed
+        # the walk's rows give the same latent-hop neighbours, with no
+        # graph rebuilt for the cut, on the whole core and inside a part
+        rows = CutMoralRows(core, drop, core.nodes)
+        for v in observed:
+            if v not in drop:
+                assert rows.observed_neighbors(v, cut) == observed_neighbors(fused, v)
+        within = frozenset(v for v in core.nodes if aside.random() < 0.8)
+        rows = CutMoralRows(core, drop, within)
+        part = core.induced_subgraph(within).moral_after_cut(cut, drop)
+        for v in within & frozenset(observed) - drop:
+            assert rows.observed_neighbors(v, cut) == observed_neighbors(part, v)
