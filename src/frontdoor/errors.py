@@ -22,7 +22,8 @@ class CyclicGraphError(GraphError):
 
 
 class AlreadyExpandedError(GraphError):
-    """Latent expansion applied to a graph that already has latent nodes."""
+    """Latent expansion applied to, or an adjustment query posed on, a
+    graph that already has latent nodes."""
 
 
 class UnexpandedBidirectedError(GraphError):

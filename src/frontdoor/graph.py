@@ -161,11 +161,6 @@ class ADMG:
     def spouses_of(self, v: int) -> VarSet:
         return self._spouses[v]
 
-    def has_incoming_arrow(self, v: int) -> bool:
-        """True when some edge carries an arrowhead at ``v`` (a directed
-        parent or an incident bidirected edge)."""
-        return bool(self._parents[v] or self._spouses[v])
-
     @property
     def directed_edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((p, v) for v in self.nodes for p in self._parents[v])
@@ -208,21 +203,6 @@ class ADMG:
                     seen.add(c)
                     stack.append(c)
         return frozenset(seen)
-
-    def parents(self, vs: Iterable[int]) -> VarSet:
-        """One-step parents of ``vs``, including ``vs`` itself."""
-        vs = self.check_vars(vs)
-        out = set(vs)
-        for v in vs:
-            out |= self._parents[v]
-        return frozenset(out)
-
-    def children(self, vs: Iterable[int]) -> VarSet:
-        vs = self.check_vars(vs)
-        out = set(vs)
-        for v in vs:
-            out |= self._children[v]
-        return frozenset(out)
 
     # -- transforms ------------------------------------------------------
 
@@ -321,6 +301,7 @@ class ADMG:
         between co-parents.  Bidirected edges must have been expanded."""
         return self.moral_after_cut(EMPTY, EMPTY)
 
+    # bench/tracing.py also wraps this method
     def moral_after_cut(self, cut: Iterable[int], drop: Iterable[int]) -> "MoralGraph":
         """Moralize with the outgoing edges of ``cut`` removed and ``drop``
         deleted afterwards, in one pass; equivalent to
@@ -375,25 +356,6 @@ class ADMG:
         )
 
 
-def _through_latents(v: int, neighbors, is_latent) -> VarSet:
-    """Observed nodes adjacent to ``v`` under ``neighbors``, where latent
-    nodes act as pass-through hops."""
-    out = set()
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in neighbors(u):
-            if w in seen:
-                continue
-            seen.add(w)
-            if is_latent(w):
-                stack.append(w)
-            else:
-                out.add(w)
-    return frozenset(out)
-
-
 class MoralGraph:
     """Undirected graph produced by :meth:`ADMG.moralize`.
 
@@ -421,7 +383,20 @@ class MoralGraph:
             raise RemovedNodeError(f"node {v} was removed from the moral graph")
         if self.latent[v]:
             raise PreconditionError("neighbor expansion starts from an observed node")
-        return _through_latents(v, self.adjacency.__getitem__, self.latent.__getitem__)
+        out = set()
+        seen = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in self.adjacency[u]:
+                if w in seen:
+                    continue
+                seen.add(w)
+                if self.latent[w]:
+                    stack.append(w)
+                else:
+                    out.add(w)
+        return frozenset(out)
 
     def remove(self, vs: Iterable[int]) -> "MoralGraph":
         """Copy of this graph with ``vs`` and their incident edges deleted."""
@@ -448,70 +423,6 @@ class MoralGraph:
 
     def __repr__(self):
         return f"MoralGraph({len(self.nodes)} nodes, {len(self.edges)} edges)"
-
-
-class CutMoralRows:
-    """The moral graph of a latent-expanded graph, restricted to the nodes
-    ``within`` and with ``drop`` deleted, under any cut, read off rows
-    stored once.
-
-    Per node, ``up`` holds its parents, ``down`` its children and ``wed``
-    its co-parents, each inside ``within`` and outside ``drop``;
-    marriages through a dropped child still count.  Cutting a node's
-    outgoing edges removes exactly its child edges and the marriages
-    through its children, so under a cut ``C`` the moral neighbours of
-    ``u`` are ``up[u] - C`` when ``u`` is in ``C`` and ``((up[u] |
-    wed[u]) - C) | down[u]`` otherwise.  ``C`` holds observed nodes
-    outside ``drop``.  The answers equal those of
-    ``induced_subgraph(within).moral_after_cut(C, drop)`` followed by
-    :meth:`MoralGraph.observed_neighbors`, with no graph rebuilt.
-    """
-
-    __slots__ = ("up", "down", "wed", "latents")
-
-    def __init__(self, g: ADMG, drop: VarSet, within: VarSet):
-        if any(g._spouses):
-            raise UnexpandedBidirectedError(
-                "moralize a latent-expanded graph (call expand_latents first)"
-            )
-        keep = within - drop
-        n = len(g.names)
-        up = self.up = [EMPTY] * n
-        down = self.down = [EMPTY] * n
-        wed = self.wed = [EMPTY] * n
-        for v in keep:
-            up[v] = g._parents[v] & keep
-            down[v] = g._children[v] & keep
-        # the kept parents of every child, dropped or not, marry each other
-        mates: list[set | None] = [None] * n
-        for c in within:
-            ps = g._parents[c] & keep if c in drop else up[c]
-            if len(ps) > 1:
-                for p in ps:
-                    if mates[p] is None:
-                        mates[p] = set(ps)
-                    else:
-                        mates[p] |= ps
-        for v in keep:
-            if mates[v] is not None:
-                mates[v].discard(v)
-                wed[v] = frozenset(mates[v])
-        self.latents = frozenset(v for v in within if g.latent[v])
-
-    def neighbors_of(self, u: int, cut) -> VarSet:
-        if u in cut:
-            return self.up[u] - cut
-        return ((self.up[u] | self.wed[u]) - cut) | self.down[u]
-
-    def observed_neighbors(self, v: int, cut) -> VarSet:
-        """Observed moral neighbours of the observed node ``v`` under
-        ``cut``, where latent nodes act as pass-through hops."""
-        near = self.neighbors_of(v, cut)
-        if self.latents.isdisjoint(near):
-            return near
-        return _through_latents(
-            v, lambda u: self.neighbors_of(u, cut), self.latents.__contains__
-        )
 
 
 def build_graph(

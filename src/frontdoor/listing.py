@@ -7,7 +7,9 @@ when ``feasible(i, r)`` finds none, the same check ``find`` runs at the
 root.  Sibling subtrees partition their parent's sets (one forces the
 pivot in, the other bans it), so each set is emitted exactly once and
 the work between two emissions stays within one root-to-leaf round
-trip: at most ``2n + 1`` feasibility checks.
+trip: at most ``2n + 1`` feasibility checks.  A check runs at most
+``|pool| + 1`` linear-time d-connection searches (stage 2's rounds) and
+two interception walks, so the delay is polynomial.
 
 A node's pivot is the lowest-index undecided member of the largest set
 that ``feasible`` returns, and both children are narrowed to that set:
@@ -23,7 +25,8 @@ from typing import Iterable, Iterator
 
 from .graph import ADMG, VarSet
 from .search import AdjustmentQuery, EMPTY, FrontDoorEngine
-# bench/tracing.py wraps these two names in this module's namespace
+# nothing here calls these two names; only bench/tracing.py uses them, to
+# wrap them in this module's namespace
 from .separation import causal_path_graph, is_separated  # noqa: F401
 
 
@@ -58,12 +61,7 @@ def list_adjustment_sets(
     if stats is None:
         stats = ListStats()
 
-    # The engine's set-up, and the walkers' graphs for every seed the tree
-    # can revisit across pools, are built now, before the first emission,
-    # to keep the delay flat.
     engine = FrontDoorEngine(query)
-    for v in engine.pool:
-        engine.blocking.prepare(frozenset((v,)))
 
     def walk() -> Iterator[VarSet]:
         if limit is not None and limit <= 0:

@@ -3,37 +3,36 @@
 :class:`FrontDoorEngine`, bound to a query's graph, ``x``, ``y`` and root
 ``r``, answers ``feasible(i, r)``: the largest set ``z`` with
 ``i ⊆ z ⊆ r`` satisfying the front-door criterion, or ``None``.  Stage 1
-keeps the members of ``r`` with no open back-door path from ``x``
-(computed once for the root).  A pool that misses some causal path is
-rejected at once: interception is monotone, so no subset can hit that
-path.  Stage 2 (:class:`BlockingSearch`) drops every candidate that no
-admissible set can contain, and the survivors are the answer iff they
-intercept every causal path.  Stage 2 rests on a breadth-first walk over
-the moral graph of an ancestral graph whose cut grows as the walk
-recruits candidates (``find_blocking_extension``); the walk reads that
-graph off rows stored once per seed and rebuilds nothing.  It doubles as
-a constructive search for the helpers a seed set needs.
+keeps the members of ``r`` with no open back-door path from ``x``: those
+outside one d-connection search from ``x`` (computed once for the root).
+A pool that misses some causal path is rejected at once: interception is
+monotone, so no subset can hit that path.  Stage 2
+(:class:`BlockingSearch`) shrinks the pool to the largest subset meeting
+the third condition, a fixed point of d-connection searches from ``y``,
+and that subset is the answer iff it intercepts every causal path.
 
 ``find_adjustment_set`` is ``feasible(i, r)`` at the root, and
 ``list_adjustment_sets`` walks an include/exclude tree of such checks
 over one engine.  ``check_criterion`` tests condition 1 with the same
-interception walk, whose missed causal path is the witness.
+interception walk, whose missed causal path is the witness, and
+conditions 2 and 3 with the d-connection search of
+:mod:`frontdoor.separation`, which serves all three conditions.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
-from .errors import OverlappingSetsError, PreconditionError
-from .graph import ADMG, CutMoralRows, MoralGraph, VarSet
+from .errors import AlreadyExpandedError, OverlappingSetsError, PreconditionError
+from .graph import ADMG, MoralGraph, VarSet
 from .separation import (
     causal_path_graph,
     connecting_path,
     format_path,
-    is_separated,
+    is_separated,  # noqa: F401  (unused; only bench/tracing.py wraps it here)
+    reachable,
 )
 
 EMPTY: VarSet = frozenset()
@@ -46,7 +45,8 @@ class AdjustmentQuery:
     ``i`` collects variables the answer must include, ``r`` the variables
     it may include.  ``r`` defaults to every observed variable outside
     ``x`` and ``y``.  Each set may be given as any iterable of indices and
-    is stored as a frozenset.
+    is stored as a frozenset.  A latent-expanded graph is rejected with
+    :class:`AlreadyExpandedError`: queries take bidirected edges.
     """
 
     graph: ADMG
@@ -57,6 +57,8 @@ class AdjustmentQuery:
 
     def __post_init__(self):
         g = self.graph
+        if any(g.latent):
+            raise AlreadyExpandedError("query the graph before latent expansion")
         x = g.check_vars(self.x)
         y = g.check_vars(self.y)
         i = g.check_vars(self.i)
@@ -131,15 +133,9 @@ def check_criterion(g: ADMG, x: Iterable[int], y: Iterable[int], z: Iterable[int
     missed = _missed_causal_path(causal_path_graph(g, x, y), x, y, z)
     cond1 = missed is None
 
-    cond2 = True
-    witness2 = None
     gx = g.remove_outgoing(x)
-    for v in sorted(z):
-        path = connecting_path(gx, x, frozenset((v,)), EMPTY)
-        if path is not None:
-            cond2 = False
-            witness2 = format_path(gx, path)
-            break
+    bad = sorted(z & reachable(gx, x, EMPTY))
+    cond2 = not bad
 
     if z:
         gz = g.remove_outgoing(z)
@@ -153,7 +149,7 @@ def check_criterion(g: ADMG, x: Iterable[int], y: Iterable[int], z: Iterable[int
     if not cond1:
         witness = " -> ".join(g.names[v] for v in missed)
     elif not cond2:
-        witness = witness2
+        witness = format_path(gx, connecting_path(gx, x, frozenset(bad[:1]), EMPTY))
     elif not cond3:
         witness = witness3
     else:
@@ -162,101 +158,81 @@ def check_criterion(g: ADMG, x: Iterable[int], y: Iterable[int], z: Iterable[int
 
 
 def second_condition_candidates(g: ADMG, x: VarSet, i: VarSet, r: VarSet) -> VarSet | None:
-    """Members of ``r`` with no open back-door path from ``x``; None as
-    soon as a required member of ``i`` has one.
+    """Members of ``r`` with no open back-door path from ``x``; None when
+    a required member of ``i`` has one.
 
     Every subset of the result meets the second front-door condition, and
-    every set within ``[i, r]`` meeting it lies inside the result.
+    every set within ``[i, r]`` meeting it lies inside the result.  One
+    search from ``x`` with its outgoing edges cut finds every member with
+    an open back-door path.
     """
-    gx = g.remove_outgoing(x)
-    kept = set()
-    for v in sorted(r):
-        if is_separated(gx, x, frozenset((v,)), EMPTY):
-            kept.add(v)
-        elif v in i:
-            return None
-    return frozenset(kept)
+    x = g.check_vars(x)
+    r = g.check_vars(r)
+    if not x:
+        raise PreconditionError("x must be nonempty")
+    if r & x:
+        raise OverlappingSetsError("r may not overlap x")
+    open_from_x = reachable(g.remove_outgoing(x), x, EMPTY) & r
+    return None if i & open_from_x else r - open_from_x
 
 
-# a moral graph's neighbour expansion, under its public name
+# a moral graph's neighbour expansion under its public name; nothing here
+# calls it, and bench/tracing.py wraps it here
 observed_neighbors = MoralGraph.observed_neighbors
 
 
 class BlockingSearch:
-    """The stage-2 walker bound to one ``(graph, x, y)`` query.
+    """Stage 2 bound to one ``(graph, x, y)`` query.
 
-    A walk from seed set ``t`` runs on the moral graph of the seed's
-    ancestral, latent-expanded core with ``x`` deleted, under a cut that
-    grows as the walk recruits pool members.  The core stores that moral
-    graph's rows once (:class:`CutMoralRows`), and each step reads a
-    node's neighbours under the current cut off them.  Cores are kept
-    across walks for prepared seeds only, which the enumerator walks over
-    many candidate pools; a single pool walks each seed once.
+    A set ``z`` meets the third condition when no member of ``z`` is
+    d-connected to ``y`` given ``x`` once the outgoing edges of ``z`` are
+    cut.  Cutting more edges never opens a path (it removes edges and
+    shrinks the ancestors of ``x``), so every set meeting the condition
+    inside a pool survives the loop of :meth:`survivors`, which drops the
+    members still connected to ``y`` until none is; what remains is the
+    largest such set within the pool.  The loop runs at most
+    ``|pool| + 1`` searches of linear time.
     """
 
     def __init__(self, g: ADMG, x: VarSet, y: VarSet):
+        if x & y:
+            raise PreconditionError("x and y must be disjoint")
         self.g = g
         self.x = x
         self.y = y
-        self.arrowheads = frozenset(v for v in g.nodes if g.has_incoming_arrow(v))
-        self._kept: dict[VarSet, CutMoralRows] = {}
-
-    @cached_property
-    def _expanded(self) -> ADMG:
-        return self.g.expand_latents()
-
-    @cached_property
-    def _confounders(self) -> list[tuple[int, VarSet]]:
-        """The expanded graph's latent nodes, each with its two children."""
-        ex = self._expanded
-        return [(v, ex.children_of(v)) for v in ex.nodes - self.g.nodes]
-
-    def _core(self, t: VarSet) -> CutMoralRows:
-        """Rows of the seed's core: its ancestral subgraph with a latent
-        parent for each bidirected edge inside it, and ``x`` deleted."""
-        within = self.g.ancestors(t | self.x | self.y)
-        within |= {v for v, pair in self._confounders if pair <= within}
-        return CutMoralRows(self._expanded, self.x, within)
 
     def prepare(self, t: VarSet) -> None:
-        """Keep the seed set's core across walks, building it now."""
-        self._kept[t] = self._core(t)
-
-    def extension(self, t: VarSet, pool: VarSet) -> VarSet | None:
-        if not t <= pool:
-            raise PreconditionError("t must be a subset of the candidate pool")
-        if t & self.x or t & self.y or self.x & self.y:
-            raise PreconditionError("x, y and t must be pairwise disjoint")
-        y = self.y
-        arrowheads = self.arrowheads
-        core = self._kept.get(t)
-        if core is None:
-            core = self._core(t)
-        hop = core.observed_neighbors
-        cut = set(t)
-        visited = set(t)
-        queue = deque(sorted(t))
-        while queue:
-            u = queue.popleft()
-            if u in y:
-                return None
-            near = hop(u, cut)
-            fresh = (near & pool) - visited
-            if fresh:
-                cut |= fresh
-                near = hop(u, cut)
-            step = (near - visited) | (fresh & arrowheads)
-            visited |= step
-            queue.extend(sorted(step))
-        return frozenset(cut - t)
+        """Does nothing; kept only because bench/tracing.py wraps it."""
 
     def survivors(self, pool: VarSet) -> VarSet:
-        """Members of ``pool`` that some set within ``pool`` containing
-        them can satisfy the third condition with."""
-        return frozenset(
-            v for v in sorted(pool)
-            if self.extension(frozenset((v,)), pool) is not None
-        )
+        """The largest subset of ``pool`` meeting the third condition: the
+        members that some set within ``pool`` containing them meets it
+        with."""
+        if pool & (self.x | self.y):
+            raise PreconditionError("the pool may not overlap x or y")
+        z = pool
+        while z:
+            hit = reachable(self.g.remove_outgoing(z), self.y, self.x) & z
+            if not hit:
+                break
+            z -= hit
+        return z
+
+    def extension(self, t: VarSet, pool: VarSet) -> VarSet | None:
+        """An inclusion-minimal set of helpers from ``pool`` with which
+        ``t`` meets the third condition, or None when no superset of ``t``
+        inside ``pool`` does; see :func:`find_blocking_extension`."""
+        if not t <= pool:
+            raise PreconditionError("t must be a subset of the candidate pool")
+        kept = self.survivors(pool)
+        if not t <= kept:
+            return None
+        for h in sorted(kept - t):
+            if h in kept:
+                trial = self.survivors(kept - {h})
+                if t <= trial:
+                    kept = trial
+        return kept - t
 
 
 def find_blocking_extension(
@@ -265,12 +241,12 @@ def find_blocking_extension(
     """Helpers from ``pool`` that make ``t`` meet the third front-door
     condition, or None when no superset of ``t`` inside ``pool`` can.
 
-    The moral graph of the ancestral, latent-expanded subgraph is wired so
-    that its paths from ``t`` to ``y`` are exactly the back-door paths
-    that ``x`` fails to block.  The walk cuts the outgoing edges of every
-    pool member it meets (recruiting it) and goes on in the moral graph
-    under the grown cut; reaching ``y`` anyway means some offending path
-    survives all available cuts.
+    The helpers are inclusion-minimal: without any one of them, no set
+    inside ``t`` and the others that contains ``t`` meets the condition.
+    They are found by starting from the largest such set within ``pool``
+    and trying the helpers in index order, dropping each one whose
+    removal still leaves a set meeting the condition around ``t`` and
+    shrinking to that set.
     """
     return BlockingSearch(g, x, y).extension(frozenset(t), frozenset(pool))
 

@@ -5,7 +5,9 @@
 a node is a collider exactly when both touching edge ends carry
 arrowheads, and the search crosses it only when the d-separation rules
 leave it open.  ``connecting_path`` exposes the witness path the same
-search finds.
+search finds, and ``reachable`` returns every node the search reaches
+when it runs to the end, which answers a d-separation question for each
+node at once.
 """
 
 from __future__ import annotations
@@ -14,16 +16,18 @@ from collections import deque
 from typing import Iterable
 
 from .errors import OverlappingSetsError, PreconditionError
-from .graph import ADMG, VarSet
+from .graph import ADMG, EMPTY, VarSet
 
 _TAIL, _HEAD = 0, 1
 
 
 def _search(g: ADMG, a: VarSet, b: VarSet, c: VarSet):
-    """Find one open path from ``a`` to ``b`` given ``c``, or None.
+    """Breadth-first search for open paths from ``a`` given ``c``.
 
-    Returns ``(nodes, kinds)`` where ``kinds[i]`` is the edge symbol
-    (``->``, ``<-``, ``<->``) between ``nodes[i]`` and ``nodes[i+1]``.
+    Returns ``(pred, hit)``: ``pred`` maps each reached state to the state
+    and edge symbol (``->``, ``<-``, ``<->``) it was reached by (None for
+    the start states in ``a``), and ``hit`` is the first state reached in
+    ``b``, or None once the search has run to the end.
     """
     anc_c = g.ancestors(c)
     pred: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {}
@@ -67,17 +71,8 @@ def _search(g: ADMG, a: VarSet, b: VarSet, c: VarSet):
                     if hit:
                         break
         if hit:
-            nodes, kinds = [hit[0]], []
-            link = pred[hit]
-            while link is not None:
-                state, kind = link
-                nodes.append(state[0])
-                kinds.append(kind)
-                link = pred[state]
-            nodes.reverse()
-            kinds.reverse()
-            return nodes, kinds
-    return None
+            return pred, hit
+    return pred, None
 
 
 def _separation_query(g: ADMG, a, b, c) -> tuple[VarSet, VarSet, VarSet]:
@@ -96,14 +91,43 @@ def _separation_query(g: ADMG, a, b, c) -> tuple[VarSet, VarSet, VarSet]:
 def is_separated(g: ADMG, a: Iterable[int], b: Iterable[int], c: Iterable[int]) -> bool:
     """True iff ``c`` d-separates ``a`` from ``b`` in ``g``."""
     a, b, c = _separation_query(g, a, b, c)
-    return _search(g, a, b, c) is None
+    return _search(g, a, b, c)[1] is None
 
 
 def connecting_path(g: ADMG, a, b, c):
     """One open path from ``a`` to ``b`` given ``c`` as ``(nodes, kinds)``,
-    or None when the sets are separated."""
+    where ``kinds[i]`` is the edge symbol between ``nodes[i]`` and
+    ``nodes[i+1]``, or None when the sets are separated."""
     a, b, c = _separation_query(g, a, b, c)
-    return _search(g, a, b, c)
+    pred, hit = _search(g, a, b, c)
+    if hit is None:
+        return None
+    nodes, kinds = [hit[0]], []
+    link = pred[hit]
+    while link is not None:
+        state, kind = link
+        nodes.append(state[0])
+        kinds.append(kind)
+        link = pred[state]
+    nodes.reverse()
+    kinds.reverse()
+    return nodes, kinds
+
+
+def reachable(g: ADMG, a: Iterable[int], c: Iterable[int]) -> VarSet:
+    """Every node outside ``c`` joined to ``a`` by a path open given ``c``
+    in ``g``, ``a`` itself included (Shachter's Bayes-ball reachable set).
+
+    A node ``w`` outside ``a`` and ``c`` is in the result exactly when
+    ``is_separated(g, a, {w}, c)`` is false; one search answers every
+    ``w`` at once.
+    """
+    a = g.check_vars(a)
+    c = frozenset(c) & g.nodes
+    if a & c:
+        raise OverlappingSetsError("endpoint and conditioning sets must be disjoint")
+    pred, _ = _search(g, a, EMPTY, c)
+    return frozenset(v for v, _ in pred) - c
 
 
 def format_path(g: ADMG, path) -> str:

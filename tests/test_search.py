@@ -3,9 +3,11 @@ import random
 import pytest
 
 from frontdoor import (
+    AlreadyExpandedError,
     OverlappingSetsError,
     PreconditionError,
     RemovedNodeError,
+    UnknownNodeError,
     build_graph,
     check_criterion,
     find_adjustment_set,
@@ -217,12 +219,39 @@ def test_find_rejects_before_stage2(monkeypatch):
     g = build_graph(["X", "M", "W", "Y"],
                     [("X", "M"), ("M", "Y"), ("X", "W")], [("X", "M")])
 
-    def no_walk(self, t, pool):
+    def no_stage2(self, pool):
         raise AssertionError("stage 2 ran")
 
-    monkeypatch.setattr(BlockingSearch, "extension", no_walk)
+    monkeypatch.setattr(BlockingSearch, "survivors", no_stage2)
     assert second_condition_candidates(g, ix(g, "X"), frozenset(), ix(g, "M,W")) == ix(g, "W")
     assert find_adjustment_set(g, ix(g, "X"), ix(g, "Y")) is None
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda g, x, y: second_condition_candidates(g, frozenset(), frozenset(), ix(g, "A")),
+     PreconditionError),
+    (lambda g, x, y: second_condition_candidates(g, x, frozenset(), x | ix(g, "A")),
+     OverlappingSetsError),
+    (lambda g, x, y: second_condition_candidates(g, x, frozenset(), frozenset({99})),
+     UnknownNodeError),
+    (lambda g, x, y: second_condition_candidates(g, frozenset({99}), frozenset(), ix(g, "A")),
+     UnknownNodeError),
+    (lambda g, x, y: third_condition_candidates(g, x, y, frozenset(), x | ix(g, "A")),
+     PreconditionError),
+    (lambda g, x, y: third_condition_candidates(g, x, y, frozenset(), y | ix(g, "A")),
+     PreconditionError),
+    (lambda g, x, y: third_condition_candidates(g, x, x | y, frozenset(), ix(g, "A")),
+     PreconditionError),
+    (lambda g, x, y: find_adjustment_set(g.expand_latents(), x, y),
+     AlreadyExpandedError),
+    (lambda g, x, y: list(list_adjustment_sets(g.expand_latents(), x, y)),
+     AlreadyExpandedError),
+], ids=["stage1-empty-x", "stage1-r-meets-x", "stage1-unknown-r", "stage1-unknown-x",
+        "stage2-pool-meets-x", "stage2-pool-meets-y", "stage2-x-meets-y",
+        "find-expanded", "list-expanded"])
+def test_stage_input_errors(intro, call, error):
+    with pytest.raises(error):
+        call(intro, ix(intro, "X"), ix(intro, "Y"))
 
 
 def test_find_empty_answer_degenerate():
@@ -336,8 +365,9 @@ def test_third_condition_pool_blocks_itself():
 
 
 def test_blocking_extension_matches_subset_enumeration():
-    # the walk succeeds exactly when some helper set inside the pool makes
-    # the seed meet condition 3, and its own answer is such a set
+    # the search succeeds exactly when some helper set inside the pool
+    # makes the seed meet condition 3, and its answer is such a set with no
+    # helper to spare: without any one of them, no subset of the rest helps
     from itertools import combinations
 
     def cond3_holds(g, z, y, x):
@@ -364,6 +394,13 @@ def test_blocking_extension_matches_subset_enumeration():
             if got is not None:
                 assert got <= pool - t
                 assert cond3_holds(g, t | got, y, x)
+                for h in got:
+                    spare = sorted(got - {h})
+                    assert not any(
+                        cond3_holds(g, t | frozenset(sub), y, x)
+                        for k in range(len(spare) + 1)
+                        for sub in combinations(spare, k)
+                    )
 
 
 def _find_equals_first_listed(g, x, y, i=frozenset(), r=None):
