@@ -5,22 +5,28 @@ The enumerator walks a binary include/exclude search tree over one
 for every admissible set ``z`` with ``i ⊆ z ⊆ r``; the node is pruned
 when ``feasible(i, r)`` finds none, the same check ``find`` runs at the
 root.  Sibling subtrees partition their parent's sets (one forces the
-pivot in, the other bans it), so each set is emitted exactly once and
-the work between two emissions stays within one root-to-leaf round
-trip: at most ``2n + 1`` feasibility checks.  A check runs at most
-``|pool| + 1`` linear-time d-connection searches (stage 2's rounds) and
-two interception walks, so the delay is polynomial.
+pivot in, the other bans it), so each set is emitted exactly once.
 
 A node's pivot is the lowest-index undecided member of the largest set
-that ``feasible`` returns, and both children are narrowed to that set:
-no admissible set in the interval holds a variable outside it.  The
-include branch is explored first, which yields supersets before their
-subsets.
+``m`` that ``feasible`` returns, and both children are narrowed to
+``m``: no admissible set in the interval holds a variable outside it.
+Including a pivot keeps ``m``, so the include branches, walked first,
+reach the leaf ``m`` with no further check: a node emits ``m`` at once
+(supersets come before their subsets) and stacks the exclude branches on
+the way, except those dropping a sole interceptor of a causal path,
+which hold no admissible set.  So every check that succeeds emits a set,
+the checks between two emissions stay within one root-to-leaf round
+trip (at most ``2n + 1``), and a check runs at most ``|pool| + 1``
+linear-time d-connection searches and three interception walks.  The
+walk stores its stack and no answers, so memory does not grow with the
+output.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .graph import ADMG, VarSet
@@ -64,25 +70,27 @@ def list_adjustment_sets(
     engine = FrontDoorEngine(query)
 
     def walk() -> Iterator[VarSet]:
-        if limit is not None and limit <= 0:
-            return
-        emitted = 0
-        stack = [(query.i, query.r)]
-        while stack:
-            inc, rest = stack.pop()
+        # exclude branches still to walk, as (include set of the node that
+        # stacked it, that node's largest set, banned pivot).  A deque: a
+        # list emptied once resizes through the system allocator ever
+        # after, and the small blocks that frees pile up until some large
+        # allocation consolidates them all at once, a stall of 0.1-0.2 ms
+        stack: deque[tuple[VarSet, VarSet, int]] = deque()
+        inc, rest = query.i, query.r
+        while True:
             stats.find_calls += 1
             largest = engine.feasible(inc, rest)
-            if largest is None:
-                continue
-            if inc == largest:
+            if largest is not None:
                 stats.emitted += 1
-                emitted += 1
-                yield inc
-                if limit is not None and emitted >= limit:
-                    return
-            else:
-                v = min(largest - inc)
-                stack.append((inc, largest - {v}))
-                stack.append((inc | {v}, largest))
+                yield largest
+                pivots = largest - inc
+                if pivots:
+                    pivots -= engine.sole_interceptors(largest)
+                stack.extend((inc, largest, v) for v in sorted(pivots))
+            if not stack:
+                return
+            base, largest, v = stack.pop()
+            inc = base | {p for p in largest if p < v}
+            rest = largest - {v}
 
-    return walk()
+    return walk() if limit is None else islice(walk(), max(limit, 0))

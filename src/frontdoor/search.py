@@ -98,25 +98,30 @@ class CriterionReport:
         return self.condition1 and self.condition2 and self.condition3
 
 
+def _reached(step, start: VarSet, z: VarSet) -> dict[int, int | None]:
+    """Breadth-first predecessors of the nodes reached from ``start``
+    along ``step`` without entering ``z``, in the order they are reached."""
+    pred = dict.fromkeys(start)
+    queue = deque(sorted(start))
+    while queue:
+        v = queue.popleft()
+        for w in step(v):
+            if w not in pred and w not in z:
+                pred[w] = v
+                queue.append(w)
+    return pred
+
+
 def _missed_causal_path(cpg: ADMG, x: VarSet, y: VarSet, z: VarSet) -> list[int] | None:
     """A shortest directed path from ``x`` to ``y`` avoiding ``z`` in the
     causal path graph ``cpg``, or None when ``z`` intercepts them all."""
-    pred = dict.fromkeys(x)
-    queue = deque(sorted(x))
-    while queue:
-        v = queue.popleft()
-        for w in cpg.children_of(v):
-            if w in pred or w in z:
-                continue
-            pred[w] = v
-            if w in y:
-                path = [w]
-                while pred[path[-1]] is not None:
-                    path.append(pred[path[-1]])
-                path.reverse()
-                return path
-            queue.append(w)
-    return None
+    pred = _reached(cpg.children_of, x, z)
+    path = [next((w for w in pred if w in y), None)]
+    if path[0] is None:
+        return None
+    while pred[path[-1]] is not None:
+        path.append(pred[path[-1]])
+    return path[::-1]
 
 
 def check_criterion(g: ADMG, x: Iterable[int], y: Iterable[int], z: Iterable[int]) -> CriterionReport:
@@ -137,23 +142,17 @@ def check_criterion(g: ADMG, x: Iterable[int], y: Iterable[int], z: Iterable[int
     bad = sorted(z & reachable(gx, x, EMPTY))
     cond2 = not bad
 
-    if z:
-        gz = g.remove_outgoing(z)
-        path3 = connecting_path(gz, z, y, x)
-        cond3 = path3 is None
-        witness3 = None if cond3 else format_path(gz, path3)
-    else:
-        cond3 = True
-        witness3 = None
+    gz = g.remove_outgoing(z)
+    path3 = connecting_path(gz, z, y, x) if z else None
+    cond3 = path3 is None
 
+    witness = None
     if not cond1:
         witness = " -> ".join(g.names[v] for v in missed)
     elif not cond2:
         witness = format_path(gx, connecting_path(gx, x, frozenset(bad[:1]), EMPTY))
     elif not cond3:
-        witness = witness3
-    else:
-        witness = None
+        witness = format_path(gz, path3)
     return CriterionReport(cond1, cond2, cond3, witness)
 
 
@@ -266,11 +265,9 @@ class FrontDoorEngine:
     ``list``.
 
     Binds the graph, ``x`` and ``y``, the causal path graph, the stage-1
-    pool of the query's ``r`` and one :class:`BlockingSearch`.  Answers
-    are memoized per candidate pool: they depend on a check's include set
-    only through a final membership test.  An answer is also memoized
-    under its own pool, because the largest admissible set within it is
-    itself.
+    pool of the query's ``r`` and one :class:`BlockingSearch`.  It keeps
+    no answers between checks, so its memory does not grow with the
+    number of checks a listing makes.
     """
 
     def __init__(self, query: AdjustmentQuery):
@@ -280,28 +277,33 @@ class FrontDoorEngine:
         self.cpg = causal_path_graph(g, query.x, query.y)
         self.pool = second_condition_candidates(g, query.x, EMPTY, query.r)
         self.blocking = BlockingSearch(g, query.x, query.y)
-        self._answers: dict[VarSet, VarSet | None] = {}
 
     def intercepts(self, z: VarSet) -> bool:
         return _missed_causal_path(self.cpg, self.x, self.y, z) is None
+
+    def sole_interceptors(self, z: VarSet) -> VarSet:
+        """Members ``v`` of ``z`` that some causal path meets in ``z`` only
+        at ``v``, running outside ``z`` from ``x`` to a parent of ``v`` and
+        from a child of ``v`` to ``y``: ``z - {v}`` misses that path."""
+        cpg = self.cpg
+        before = _reached(cpg.children_of, self.x, z)
+        after = _reached(cpg.parents_of, self.y, z)
+        return z.intersection(
+            {v for u in before for v in cpg.children_of(u)},
+            {v for u in after for v in cpg.parents_of(u)},
+        )
 
     def feasible(self, i: VarSet, r: VarSet) -> VarSet | None:
         """The largest admissible set within ``[i, r]`` for ``r`` inside
         the query's ``r``, or None when that interval holds none."""
         pool = r & self.pool
-        if not i <= pool:
+        if not i <= pool or not self.intercepts(pool):
             return None
-        if pool in self._answers:
-            answer = self._answers[pool]
-        elif not self.intercepts(pool):
-            answer = self._answers[pool] = None
-        else:
-            survivors = self.blocking.survivors(pool)
-            answer = survivors if self.intercepts(survivors) else None
-            self._answers[pool] = answer
-            if answer is not None:
-                self._answers[answer] = answer
-        return answer if answer is not None and i <= answer else None
+        survivors = self.blocking.survivors(pool)
+        # an unshrunk pool was just seen to intercept every causal path
+        if i <= survivors and (survivors == pool or self.intercepts(survivors)):
+            return survivors
+        return None
 
 
 def find_adjustment_set(

@@ -201,13 +201,11 @@ def test_criterion_4_oracle_equivalence():
 def test_criterion_5_poly_delay():
     """Instrumented delay on the k=8 family (6561 sets).
 
-    The feasibility-call bound holds with room to spare.  The wall-clock
-    bound (max gap <= 5x median gap) is asserted as well, and fails: the
-    search tree spends 1-2 feasibility checks on a median gap but up to
-    2n+1 on the worst one, so the wall ratio tracks that imbalance
-    (>= ~10x) for any implementation that follows the fixed pivot order,
-    and at these microsecond scales single allocator or scheduler stalls
-    dominate the maximum anyway.
+    The feasibility-call bound holds with room to spare: the walk makes
+    one check per set here.  The wall-clock bound (max gap <= 5x median
+    gap) is asserted as well.  Gaps last tens of microseconds, so a
+    single scheduler stall in every one of the five drains still breaks
+    it on a loaded machine.
     """
     g = chain_family(8)
     x, y = ix(g, "X"), ix(g, "Y")

@@ -20,11 +20,12 @@ from frontdoor import (
 )
 from frontdoor.oracle import (
     d_separated_oracle,
+    directed_paths,
     enumerate_all_oracle,
     front_door_oracle,
     random_admg,
 )
-from frontdoor.search import BlockingSearch
+from frontdoor.search import AdjustmentQuery, BlockingSearch, FrontDoorEngine
 
 from conftest import ix
 from test_acceptance import _scaling_admg
@@ -326,6 +327,28 @@ def test_shrinking_r_never_creates_answers():
         smaller = frozenset(v for v in r if rng.random() < 0.5)
         assert find_adjustment_set(g, x, y, frozenset(), smaller) is None
 
+
+
+def test_sole_interceptors_match_path_enumeration():
+    # v is a sole interceptor of z iff some directed path from x to y
+    # meets z in v alone
+    rng = random.Random(817)
+    checked = 0
+    for _ in range(200):
+        g = random_admg(rng, rng.randint(5, 9), rng.choice((0.3, 0.5)))
+        x = frozenset({rng.choice(sorted(g.nodes))})
+        below = sorted(g.descendants(x) - x)
+        if not below:
+            continue
+        y = frozenset({rng.choice(below)})
+        engine = FrontDoorEngine(AdjustmentQuery(g, x, y))
+        paths = [set(p) for p in directed_paths(g, x, y)]
+        for _ in range(4):
+            z = frozenset(v for v in g.nodes - x - y if rng.random() < 0.5)
+            expect = {v for v in z if any(p & z == {v} for p in paths)}
+            assert engine.sole_interceptors(z) == expect
+            checked += bool(expect)
+    assert checked > 60
 
 def test_second_condition_pool_exactness():
     # every subset of the stage-1 pool passes condition 2, and every set
