@@ -17,7 +17,7 @@ the way, except those dropping a sole interceptor of a causal path,
 which hold no admissible set.  So every check that succeeds emits a set,
 the checks between two emissions stay within one root-to-leaf round
 trip (at most ``2n + 1``), and a check runs at most ``|pool| + 1``
-linear-time d-connection searches and three interception walks.  The
+linear-time d-connection searches and four interception walks.  The
 walk stores its stack and no answers, so memory does not grow with the
 output.
 """

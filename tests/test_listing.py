@@ -100,7 +100,6 @@ def test_laziness(intro):
     assert partial < stats.find_calls
 
 
-
 def test_every_check_emits_on_chain_family():
     # including a pivot keeps the node's largest set, and banning a chain's
     # last member misses that chain's causal path, so no branch that holds
@@ -110,6 +109,7 @@ def test_every_check_emits_on_chain_family():
     got = list(list_adjustment_sets(g, ix(g, "X"), ix(g, "Y"), stats=stats))
     assert len(set(got)) == 3 ** 5
     assert stats.find_calls == stats.emitted == 3 ** 5
+
 
 def test_first_set_costs_one_stage2_pass(monkeypatch):
     # W passes stage 1 but stage 2 drops it (W <-> Y stays open whatever is

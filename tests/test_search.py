@@ -328,7 +328,6 @@ def test_shrinking_r_never_creates_answers():
         assert find_adjustment_set(g, x, y, frozenset(), smaller) is None
 
 
-
 def test_sole_interceptors_match_path_enumeration():
     # v is a sole interceptor of z iff some directed path from x to y
     # meets z in v alone
