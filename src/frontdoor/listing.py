@@ -16,9 +16,10 @@ reach the leaf ``m`` with no further check: a node emits ``m`` at once
 the way, except those dropping a sole interceptor of a causal path,
 which hold no admissible set.  So every check that succeeds emits a set,
 the checks between two emissions stay within one root-to-leaf round
-trip (at most ``2n + 1``), and a check runs at most ``|pool| + 1``
-linear-time d-connection searches and four interception walks.  The
-walk stores its stack and no answers, so memory does not grow with the
+trip (at most ``2n + 1``), and a check runs one linear-time
+d-connection search and at most three interception walks; a node that
+stacks exclude branches reuses its check's last forward walk.  The walk
+stores its stack and no answers, so memory does not grow with the
 output.
 """
 
@@ -79,13 +80,14 @@ def list_adjustment_sets(
         inc, rest = query.i, query.r
         while True:
             stats.find_calls += 1
-            largest = engine.feasible(inc, rest)
-            if largest is not None:
+            found = engine.largest(inc, rest)
+            if found is not None:
+                largest, before = found
                 stats.emitted += 1
                 yield largest
                 pivots = largest - inc
                 if pivots:
-                    pivots -= engine.sole_interceptors(largest)
+                    pivots -= engine.sole_interceptors(largest, before)
                 stack.extend((inc, largest, v) for v in sorted(pivots))
             if not stack:
                 return

@@ -13,6 +13,7 @@ from typing import Iterable
 
 from .errors import GraphTooLargeError, RangeTooLargeError
 from .graph import ADMG, VarSet, build_graph
+from .separation import reachable
 
 MAX_ORACLE_NODES = 12
 MAX_ORACLE_RANGE = 20
@@ -214,3 +215,18 @@ def random_admg(rng: random.Random, n: int, density: float, max_bidirected: int 
         if (names[i], names[j]) not in bidirected:
             bidirected.append((names[i], names[j]))
     return build_graph(names, directed, bidirected)
+
+
+def survivors_fixed_point(g: ADMG, x: VarSet, y: VarSet, pool: VarSet) -> VarSet:
+    """Reference stage 2: shrink ``pool`` by dropping every member that
+    one d-connection search from ``y`` given ``x`` reaches in ``g`` with
+    the remaining pool's outgoing edges cut, until a search reaches none.
+    One graph copy and one search per round, at most ``|pool| + 1``
+    rounds; no size guard."""
+    z = frozenset(pool)
+    while z:
+        hit = reachable(g.remove_outgoing(z), y, x) & z
+        if not hit:
+            break
+        z -= hit
+    return z

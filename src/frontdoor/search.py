@@ -8,8 +8,10 @@ outside one d-connection search from ``x`` (computed once for the root).
 A pool that misses some causal path is rejected at once: interception is
 monotone, so no subset can hit that path.  Stage 2
 (:class:`BlockingSearch`) shrinks the pool to the largest subset meeting
-the third condition, a fixed point of d-connection searches from ``y``,
-and that subset is the answer iff it intercepts every causal path.
+the third condition, with one d-connection search from ``y`` that drops
+the pool members it reaches as it goes
+(:func:`~frontdoor.separation.blocking_survivors`), and that subset is
+the answer iff it intercepts every causal path.
 
 ``find_adjustment_set`` is ``feasible(i, r)`` at the root, and
 ``list_adjustment_sets`` walks an include/exclude tree of such checks
@@ -28,6 +30,7 @@ from typing import Iterable
 from .errors import AlreadyExpandedError, OverlappingSetsError, PreconditionError
 from .graph import ADMG, MoralGraph, VarSet
 from .separation import (
+    blocking_survivors,
     causal_path_graph,
     connecting_path,
     format_path,
@@ -187,10 +190,9 @@ class BlockingSearch:
     d-connected to ``y`` given ``x`` once the outgoing edges of ``z`` are
     cut.  Cutting more edges never opens a path (it removes edges and
     shrinks the ancestors of ``x``), so every set meeting the condition
-    inside a pool survives the loop of :meth:`survivors`, which drops the
-    members still connected to ``y`` until none is; what remains is the
-    largest such set within the pool.  The loop runs at most
-    ``|pool| + 1`` searches of linear time.
+    inside a pool survives :meth:`survivors`, which drops the members
+    connected to ``y`` until none is; what remains is the largest such
+    set within the pool.  It does so in one search of linear time.
     """
 
     def __init__(self, g: ADMG, x: VarSet, y: VarSet):
@@ -209,13 +211,7 @@ class BlockingSearch:
         with."""
         if pool & (self.x | self.y):
             raise PreconditionError("the pool may not overlap x or y")
-        z = pool
-        while z:
-            hit = reachable(self.g.remove_outgoing(z), self.y, self.x) & z
-            if not hit:
-                break
-            z -= hit
-        return z
+        return blocking_survivors(self.g, self.x, self.y, pool)
 
     def extension(self, t: VarSet, pool: VarSet) -> VarSet | None:
         """An inclusion-minimal set of helpers from ``pool`` with which
@@ -278,32 +274,51 @@ class FrontDoorEngine:
         self.pool = second_condition_candidates(g, query.x, EMPTY, query.r)
         self.blocking = BlockingSearch(g, query.x, query.y)
 
-    def intercepts(self, z: VarSet) -> bool:
-        return _missed_causal_path(self.cpg, self.x, self.y, z) is None
+    def forward(self, z: VarSet) -> dict[int, int | None]:
+        """The nodes of the causal path graph reached from ``x`` without
+        entering ``z``; ``z`` intercepts every causal path iff none is in
+        ``y``."""
+        return _reached(self.cpg.children_of, self.x, z)
 
-    def sole_interceptors(self, z: VarSet) -> VarSet:
+    def sole_interceptors(self, z: VarSet, before: dict[int, int | None] | None = None) -> VarSet:
         """Members ``v`` of ``z`` that some causal path meets in ``z`` only
         at ``v``, running outside ``z`` from ``x`` to a parent of ``v`` and
-        from a child of ``v`` to ``y``: ``z - {v}`` misses that path."""
+        from a child of ``v`` to ``y``: ``z - {v}`` misses that path.
+        ``before`` is ``forward(z)``, when the caller already has it."""
         cpg = self.cpg
-        before = _reached(cpg.children_of, self.x, z)
+        if before is None:
+            before = self.forward(z)
         after = _reached(cpg.parents_of, self.y, z)
         return z.intersection(
             {v for u in before for v in cpg.children_of(u)},
             {v for u in after for v in cpg.parents_of(u)},
         )
 
+    def largest(self, i: VarSet, r: VarSet) -> tuple[VarSet, dict[int, int | None]] | None:
+        """The largest admissible set within ``[i, r]`` for ``r`` inside
+        the query's ``r``, with ``forward`` of it, or None when that
+        interval holds none."""
+        pool = r & self.pool
+        if not i <= pool:
+            return None
+        before = self.forward(pool)
+        if not self.y.isdisjoint(before):
+            return None
+        survivors = self.blocking.survivors(pool)
+        if not i <= survivors:
+            return None
+        # an unshrunk pool was just seen to intercept every causal path
+        if survivors != pool:
+            before = self.forward(survivors)
+            if not self.y.isdisjoint(before):
+                return None
+        return survivors, before
+
     def feasible(self, i: VarSet, r: VarSet) -> VarSet | None:
         """The largest admissible set within ``[i, r]`` for ``r`` inside
         the query's ``r``, or None when that interval holds none."""
-        pool = r & self.pool
-        if not i <= pool or not self.intercepts(pool):
-            return None
-        survivors = self.blocking.survivors(pool)
-        # an unshrunk pool was just seen to intercept every causal path
-        if i <= survivors and (survivors == pool or self.intercepts(survivors)):
-            return survivors
-        return None
+        found = self.largest(i, r)
+        return None if found is None else found[0]
 
 
 def find_adjustment_set(

@@ -7,7 +7,9 @@ arrowheads, and the search crosses it only when the d-separation rules
 leave it open.  ``connecting_path`` exposes the witness path the same
 search finds, and ``reachable`` returns every node the search reaches
 when it runs to the end, which answers a d-separation question for each
-node at once.
+node at once.  ``blocking_survivors`` runs the same search while cutting
+the outgoing edges of a shrinking set, for the front-door criterion's
+stage 2.
 """
 
 from __future__ import annotations
@@ -128,6 +130,88 @@ def reachable(g: ADMG, a: Iterable[int], c: Iterable[int]) -> VarSet:
         raise OverlappingSetsError("endpoint and conditioning sets must be disjoint")
     pred, _ = _search(g, a, EMPTY, c)
     return frozenset(v for v, _ in pred) - c
+
+
+def blocking_survivors(g: ADMG, x: VarSet, y: VarSet, pool: VarSet) -> VarSet:
+    """The largest subset ``z`` of ``pool`` that no path open given ``x``
+    joins to ``y`` once the outgoing edges of ``z`` are cut.
+
+    This is the greatest fixed point of dropping the members that
+    ``reachable`` from ``y`` given ``x`` finds in the graph cut at the
+    remaining pool, computed by one search that carries on instead of
+    restarting.  The search runs in ``g`` with the pool's outgoing edges
+    cut, with ``_search``'s states and exit rules, and drops a member
+    when one of its states is first dequeued.  A drop only adds edges
+    (the member's outgoing ones) and only grows the ancestors of ``x``,
+    so what has been reached stays reached; the drop expands only the
+    exits it opens:
+
+    - the member leaves through its tail to each child;
+    - a child's state already seen with its parent exits open now also
+      leaves to the member;
+    - when a child is an ancestor of ``x``, the member and its uncut
+      ancestors become ones too, and every head-entered state of those
+      that was expanded with its collider exit shut now leaves through it.
+
+    Each state is expanded once, plus once more through its collider exit,
+    so the pass is linear in the size of ``g``; no graph is copied.
+    """
+    cut = set(pool)
+    anc: set[int] = set()
+    shut: set[int] = set()  # nodes whose head-entered state left no collider exit
+    seen: set[tuple[int, int]] = set()
+    queue: deque[tuple[int, int]] = deque()
+
+    def push(state):
+        if state not in seen:
+            seen.add(state)
+            queue.append(state)
+
+    def leave_by_head(v):
+        for p in g.parents_of(v):
+            if p not in cut:
+                push((p, _TAIL))
+        for s in g.spouses_of(v):
+            push((s, _HEAD))
+
+    def add_ancestors(vs):
+        todo = [v for v in vs if v not in anc]
+        anc.update(todo)
+        while todo:
+            v = todo.pop()
+            if v in shut:
+                leave_by_head(v)
+            for p in g.parents_of(v):
+                if p not in cut and p not in anc:
+                    anc.add(p)
+                    todo.append(p)
+
+    add_ancestors(x)
+    for s in sorted(y):
+        push((s, _TAIL))
+    while queue:
+        v, mark = queue.popleft()
+        children = g.children_of(v)
+        if v in cut:
+            cut.discard(v)
+            if not anc.isdisjoint(children):
+                add_ancestors((v,))
+            if any(((w, _TAIL) in seen and w not in x) or ((w, _HEAD) in seen and w in anc)
+                   for w in children):
+                push((v, _TAIL))
+        # as in _search: x blocks every exit but a collider's, and a
+        # collider exit needs an ancestor of x
+        if v in x:
+            if mark == _HEAD:
+                leave_by_head(v)
+            continue
+        for w in children:
+            push((w, _HEAD))
+        if mark == _TAIL or v in anc:
+            leave_by_head(v)
+        else:
+            shut.add(v)
+    return frozenset(cut)
 
 
 def format_path(g: ADMG, path) -> str:

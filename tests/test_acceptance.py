@@ -2,9 +2,10 @@
 
 One test per acceptance criterion; each prints a ``ACCEPTANCE PASS``
 line on success (run with ``pytest tests/test_acceptance.py -v -s``).
-Criterion 5's wall-clock bound is asserted at full strength even
-though the search-tree structure makes it unattainable; that test's
-docstring records the measured picture.
+Criterion 5's wall-clock bound is asserted at full strength; its gaps
+last tens of microseconds, so it holds on a quiet machine and a
+scheduler stall can break it on a loaded one, as that test's docstring
+records.
 """
 
 import gc

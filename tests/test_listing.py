@@ -12,6 +12,7 @@ from frontdoor import (
 )
 from frontdoor.listing import ListStats
 from frontdoor.oracle import enumerate_all_oracle, random_admg
+from frontdoor import search
 from frontdoor.search import BlockingSearch
 
 from conftest import chain_family, ix
@@ -128,6 +129,26 @@ def test_first_set_costs_one_stage2_pass(monkeypatch):
     got = list(list_adjustment_sets(g, ix(g, "X"), ix(g, "Y"), limit=1))
     assert got == [ix(g, "M")]
     assert passes == [ix(g, "W,M")]
+
+
+def test_listing_walks_forward_once_per_check(monkeypatch):
+    # each check walks forward from x once, and the listing hands that walk
+    # to sole_interceptors, which adds only the backward walk from y; of
+    # the 243 sets of chain_family(5), the 162 with an undecided member
+    # need it
+    walks = []
+    reached = search._reached
+
+    def counted(step, start, z):
+        walks.append(z)
+        return reached(step, start, z)
+
+    monkeypatch.setattr(search, "_reached", counted)
+    g = chain_family(5)
+    stats = ListStats()
+    assert sum(1 for _ in list_adjustment_sets(g, ix(g, "X"), ix(g, "Y"), stats=stats)) == 243
+    assert stats.find_calls == 243
+    assert len(walks) == 243 + 162
 
 
 def test_drains_large_query_in_bounded_work():

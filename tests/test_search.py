@@ -24,7 +24,9 @@ from frontdoor.oracle import (
     enumerate_all_oracle,
     front_door_oracle,
     random_admg,
+    survivors_fixed_point,
 )
+from frontdoor.graph import ADMG
 from frontdoor.search import AdjustmentQuery, BlockingSearch, FrontDoorEngine
 
 from conftest import ix
@@ -423,6 +425,64 @@ def test_blocking_extension_matches_subset_enumeration():
                         for k in range(len(spare) + 1)
                         for sub in combinations(spare, k)
                     )
+
+
+def _cascade(k):
+    # X -> M -> Y, Y <-> V1, V1 -> ... -> Vk: with every Vj cut, stage 2
+    # reaches V1 only; each drop opens the edge to the next member
+    names = ["X", "M", "Y"] + [f"V{j}" for j in range(1, k + 1)]
+    directed = [("X", "M"), ("M", "Y")] + [(f"V{j}", f"V{j + 1}") for j in range(1, k)]
+    g = build_graph(names, directed, [("Y", "V1")])
+    return g, ix(g, "X"), ix(g, "Y")
+
+
+def test_survivors_match_fixed_point_reference():
+    # the one-pass stage 2 against the round-by-round loop it replaces
+    rng = random.Random(818)
+    shrunk = 0
+    for _ in range(300):
+        g = random_admg(rng, rng.randint(4, 26), rng.choice((0.1, 0.2, 0.35)),
+                        max_bidirected=rng.randint(0, 6))
+        xv, yv = rng.sample(sorted(g.nodes), 2)
+        x, y = frozenset({xv}), frozenset({yv})
+        rest = g.nodes - x - y
+        search = BlockingSearch(g, x, y)
+        for pool in (frozenset(v for v in rest if rng.random() < 0.5),
+                     second_condition_candidates(g, x, frozenset(), rest),
+                     rest):
+            got = search.survivors(pool)
+            assert got == survivors_fixed_point(g, x, y, pool)
+            shrunk += got != pool
+    assert shrunk > 300
+    for n in (200, 400, 800):
+        for seed in (1, 2, 3):
+            g = _scaling_admg(n, seed)
+            for xv in (0, 1):
+                x, y = frozenset({xv}), frozenset({3 * n // 4})
+                pool = second_condition_candidates(g, x, frozenset(), g.nodes - x - y)
+                got = BlockingSearch(g, x, y).survivors(pool)
+                assert got == survivors_fixed_point(g, x, y, pool)
+    g, x, y = _cascade(30)
+    pool = g.nodes - x - y
+    assert BlockingSearch(g, x, y).survivors(pool) == survivors_fixed_point(g, x, y, pool)
+
+
+def test_cascade_stage2_copies_no_graph(monkeypatch):
+    # the reference loop copies the graph once per round, k + 1 times here
+    g, x, y = _cascade(1000)
+    pool = g.nodes - x - y
+    want = survivors_fixed_point(g, x, y, pool)
+    assert want == ix(g, "M")
+    copies = []
+    remove_outgoing = ADMG.remove_outgoing
+
+    def counted(self, vs):
+        copies.append(vs)
+        return remove_outgoing(self, vs)
+
+    monkeypatch.setattr(ADMG, "remove_outgoing", counted)
+    assert BlockingSearch(g, x, y).survivors(pool) == want
+    assert copies == []
 
 
 def _find_equals_first_listed(g, x, y, i=frozenset(), r=None):
