@@ -2,7 +2,9 @@
 
 Everything here enumerates simple paths or subsets exhaustively and
 applies the textbook definitions verbatim.  It exists for tests on small
-graphs; the guards refuse anything bigger.
+graphs; the guards refuse anything bigger.  The one exception is
+``survivors_fixed_point``, the round-by-round stage 2 that the one-pass
+search replaced, kept as its reference at any size.
 """
 
 from __future__ import annotations

@@ -296,8 +296,8 @@ class FrontDoorEngine:
 
     def largest(self, i: VarSet, r: VarSet) -> tuple[VarSet, dict[int, int | None]] | None:
         """The largest admissible set within ``[i, r]`` for ``r`` inside
-        the query's ``r``, with ``forward`` of it, or None when that
-        interval holds none."""
+        the query's ``r`` together with ``forward`` of that set, or None
+        when the interval holds no admissible set."""
         pool = r & self.pool
         if not i <= pool:
             return None
