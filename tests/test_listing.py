@@ -10,9 +10,9 @@ from frontdoor import (
     find_adjustment_set,
     list_adjustment_sets,
 )
+from frontdoor import search
 from frontdoor.listing import ListStats
 from frontdoor.oracle import enumerate_all_oracle, random_admg
-from frontdoor import search
 from frontdoor.search import BlockingSearch
 
 from conftest import chain_family, ix
