@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator
 
+from .errors import PreconditionError
 from .graph import ADMG, VarSet
 from .search import AdjustmentQuery, EMPTY, FrontDoorEngine
 # nothing here calls these two names; only bench/tracing.py uses them, to
@@ -61,10 +62,13 @@ def list_adjustment_sets(
 
     The stream is lazy and deterministic: consuming ``j`` items performs
     only the work needed for them and always produces the same prefix.
-    ``limit`` truncates the stream after that many sets.  A ``stats``
-    object, when given, is updated as the stream is consumed.
+    ``limit`` truncates the stream after that many sets; a negative one
+    raises :class:`PreconditionError` at once.  A ``stats`` object, when
+    given, is updated as the stream is consumed.
     """
     query = AdjustmentQuery(g, x, y, i, r)
+    if limit is not None and limit < 0:
+        raise PreconditionError(f"limit must be None or at least 0, not {limit}")
     if stats is None:
         stats = ListStats()
 
@@ -95,4 +99,4 @@ def list_adjustment_sets(
             inc = base | {p for p in largest if p < v}
             rest = largest - {v}
 
-    return walk() if limit is None else islice(walk(), max(limit, 0))
+    return walk() if limit is None else islice(walk(), limit)

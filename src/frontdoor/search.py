@@ -2,23 +2,24 @@
 
 :class:`FrontDoorEngine`, bound to a query's graph, ``x``, ``y`` and root
 ``r``, answers ``feasible(i, r)``: the largest set ``z`` with
-``i ⊆ z ⊆ r`` satisfying the front-door criterion, or ``None``.  Stage 1
-keeps the members of ``r`` with no open back-door path from ``x``: those
-outside one d-connection search from ``x`` (computed once for the root).
-A pool that misses some causal path is rejected at once: interception is
-monotone, so no subset can hit that path.  Stage 2
-(:class:`BlockingSearch`) shrinks the pool to the largest subset meeting
-the third condition, with one d-connection search from ``y`` that drops
-the pool members it reaches as it goes
-(:func:`~frontdoor.separation.blocking_survivors`), and that subset is
-the answer iff it intercepts every causal path.
+``i ⊆ z ⊆ r`` satisfying the front-door criterion, or ``None``.  Every
+d-separation question here goes to the one Bayes-ball search of
+:mod:`frontdoor.separation`, which can start with a pool's outgoing
+edges cut.  Stage 1 keeps the members of ``r`` with no open back-door
+path from ``x``: those outside that search from ``x`` with an empty
+pool (computed once for the root).  A pool that misses some causal
+path is rejected at once: interception is monotone, so no subset can hit
+that path.  Stage 2 (:class:`BlockingSearch`) shrinks the pool to the
+largest subset meeting the third condition, with the search from ``y``
+given ``x`` over that pool, which drops the members it reaches as it
+goes (:func:`~frontdoor.separation.blocking_survivors`), and that subset
+is the answer iff it intercepts every causal path.
 
 ``find_adjustment_set`` is ``feasible(i, r)`` at the root, and
 ``list_adjustment_sets`` walks an include/exclude tree of such checks
 over one engine.  ``check_criterion`` tests condition 1 with the same
 interception walk, whose missed causal path is the witness, and
-conditions 2 and 3 with the d-connection search of
-:mod:`frontdoor.separation`, which serves all three conditions.
+conditions 2 and 3 with the search and an empty pool.
 """
 
 from __future__ import annotations
@@ -169,11 +170,14 @@ def second_condition_candidates(g: ADMG, x: VarSet, i: VarSet, r: VarSet) -> Var
     an open back-door path.
     """
     x = g.check_vars(x)
+    i = g.check_vars(i)
     r = g.check_vars(r)
     if not x:
         raise PreconditionError("x must be nonempty")
     if r & x:
         raise OverlappingSetsError("r may not overlap x")
+    if not i <= r:
+        raise PreconditionError("i must be a subset of r")
     open_from_x = reachable(g.remove_outgoing(x), x, EMPTY) & r
     return None if i & open_from_x else r - open_from_x
 
@@ -192,7 +196,8 @@ class BlockingSearch:
     shrinks the ancestors of ``x``), so every set meeting the condition
     inside a pool survives :meth:`survivors`, which drops the members
     connected to ``y`` until none is; what remains is the largest such
-    set within the pool.  It does so in one search of linear time.
+    set within the pool.  It does so in linear time, in one run of the
+    Bayes-ball search of :mod:`frontdoor.separation` with the pool.
     """
 
     def __init__(self, g: ADMG, x: VarSet, y: VarSet):
@@ -252,6 +257,7 @@ def third_condition_candidates(
     """Members of ``pool`` that some set within ``[i, pool]`` containing
     them can satisfy the third condition with; None when a member of
     ``i`` cannot be accommodated."""
+    i = g.check_vars(i)
     kept = BlockingSearch(g, x, y).survivors(frozenset(pool))
     return kept if i <= kept else None
 

@@ -1,15 +1,17 @@
 """d-separation testing and causal path graphs.
 
-``is_separated`` runs a linear-time reachability search over states
-``(node, direction of entry)`` instead of enumerating paths: a junction at
-a node is a collider exactly when both touching edge ends carry
-arrowheads, and the search crosses it only when the d-separation rules
-leave it open.  ``connecting_path`` exposes the witness path the same
-search finds, and ``reachable`` returns every node the search reaches
-when it runs to the end, which answers a d-separation question for each
-node at once.  ``blocking_survivors`` runs the same search while cutting
-the outgoing edges of a shrinking set, for the front-door criterion's
-stage 2.
+One Bayes-ball search (Shachter, "Bayes-Ball: The Rational Pastime", UAI
+1998) decides every d-separation question here, in linear time over
+states ``(node, direction of entry)`` instead of enumerating paths: a
+junction at a node is a collider exactly when both touching edge ends
+carry arrowheads, and the search crosses it only when the d-separation
+rules leave it open.  It also takes a pool whose outgoing edges start
+cut, and drops each member it reaches (the front-door criterion's stage
+2).  ``is_separated`` and ``connecting_path`` run it with an empty pool
+up to the first node of the target set and report whether and by which
+path it got there; ``reachable`` runs it to the end and returns every
+node it reaches, answering a d-separation question for each node at
+once; ``blocking_survivors`` returns the pool members it never reaches.
 """
 
 from __future__ import annotations
@@ -23,58 +25,101 @@ from .graph import ADMG, EMPTY, VarSet
 _TAIL, _HEAD = 0, 1
 
 
-def _search(g: ADMG, a: VarSet, b: VarSet, c: VarSet):
-    """Breadth-first search for open paths from ``a`` given ``c``.
+def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMPTY):
+    """Breadth-first search for open paths from ``a`` given ``c`` in ``g``
+    with the outgoing edges of ``pool`` cut, dropping each pool member it
+    reaches.
 
-    Returns ``(pred, hit)``: ``pred`` maps each reached state to the state
-    and edge symbol (``->``, ``<-``, ``<->``) it was reached by (None for
-    the start states in ``a``), and ``hit`` is the first state reached in
-    ``b``, or None once the search has run to the end.
+    Returns ``(pred, hit, kept)``: ``pred`` maps each reached state to the
+    state and edge symbol (``->``, ``<-``, ``<->``) it was reached by (None
+    for the start states in ``a``), ``hit`` is the first state reached in
+    ``b``, where the search stops, or None once it has run to the end, and
+    ``kept`` holds the pool members it never reached.
+
+    A member is dropped when one of its states is first dequeued.  A drop
+    only adds edges (the member's outgoing ones) and only grows the
+    ancestors of ``c``, so what has been reached stays reached; the drop
+    expands only the exits it opens:
+
+    - the member leaves through its tail to each child;
+    - a child's state already seen with its parent exits open now also
+      leaves to the member;
+    - when a child is an ancestor of ``c``, the member and its uncut
+      ancestors become ones too, and every head-entered state of those
+      that was expanded with its collider exit shut now leaves through it.
+
+    Each state is expanded once, plus once more through its collider exit,
+    so the search is linear in the size of ``g``; no graph is copied.
     """
-    anc_c = g.ancestors(c)
+    cut = set(pool)
+    anc: set[int] = set()  # ancestors of c once the outgoing edges of cut are gone
+    shut: set[int] = set()  # nodes whose head-entered state left no collider exit
     pred: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {}
     queue: deque[tuple[int, int]] = deque()
-    for s in sorted(a):
-        state = (s, _TAIL)
-        pred[state] = None
-        queue.append(state)
+    hit = None
 
     def push(state, frm, kind):
-        if state in pred:
-            return None
-        pred[state] = (frm, kind)
-        if state[0] in b:
-            return state
-        queue.append(state)
-        return None
+        nonlocal hit
+        if state not in pred:
+            pred[state] = (frm, kind)
+            queue.append(state)
+            if state[0] in b and hit is None:
+                hit = state
 
-    while queue:
-        v, mark = queue.popleft()
-        frm = (v, mark)
+    def leave_by_head(frm):
+        for p in g.parents_of(frm[0]):
+            if p not in cut:
+                push((p, _TAIL), frm, "<-")
+        for s in g.spouses_of(frm[0]):
+            push((s, _HEAD), frm, "<->")
+
+    def add_ancestors(vs):
+        todo = [v for v in vs if v not in anc]
+        anc.update(todo)
+        while todo:
+            v = todo.pop()
+            if v in shut:
+                leave_by_head((v, _HEAD))
+            for p in g.parents_of(v):
+                if p not in cut and p not in anc:
+                    anc.add(p)
+                    todo.append(p)
+
+    add_ancestors(c)
+    for s in sorted(a):
+        pred[(s, _TAIL)] = None
+        queue.append((s, _TAIL))
+    while queue and hit is None:
+        frm = queue.popleft()
+        v, mark = frm
+        children = g.children_of(v)
+        if v in cut:
+            cut.discard(v)
+            if not anc.isdisjoint(children):
+                add_ancestors((v,))
+            # the first seen child state whose parent exits are open leaves to v
+            for w in children:
+                if (w, _TAIL) in pred and w not in c:
+                    push((v, _TAIL), (w, _TAIL), "<-")
+                    break
+                if (w, _HEAD) in pred and w in anc:
+                    push((v, _TAIL), (w, _HEAD), "<-")
+                    break
         # Leaving through a tail (v -> w) never makes v a collider;
         # leaving through a head (v <- w, v <-> w) does iff we entered
-        # through a head, and open colliders must be ancestors of c.
-        tail_open = v not in c
-        head_open = (v in anc_c) if mark == _HEAD else (v not in c)
-        hit = None
-        if tail_open:
-            for w in g.children_of(v):
-                hit = push((w, _HEAD), frm, "->")
-                if hit:
-                    break
-        if hit is None and head_open:
-            for w in g.parents_of(v):
-                hit = push((w, _TAIL), frm, "<-")
-                if hit:
-                    break
-            if hit is None:
-                for w in g.spouses_of(v):
-                    hit = push((w, _HEAD), frm, "<->")
-                    if hit:
-                        break
-        if hit:
-            return pred, hit
-    return pred, None
+        # through a head.  c blocks every exit but a collider's, and an
+        # open collider must be an ancestor of c.
+        if v in c:
+            if mark == _HEAD:
+                leave_by_head(frm)
+            continue
+        for w in children:
+            push((w, _HEAD), frm, "->")
+        if mark == _TAIL or v in anc:
+            leave_by_head(frm)
+        else:
+            shut.add(v)
+    return pred, hit, frozenset(cut)
 
 
 def _separation_query(g: ADMG, a, b, c) -> tuple[VarSet, VarSet, VarSet]:
@@ -93,7 +138,7 @@ def _separation_query(g: ADMG, a, b, c) -> tuple[VarSet, VarSet, VarSet]:
 def is_separated(g: ADMG, a: Iterable[int], b: Iterable[int], c: Iterable[int]) -> bool:
     """True iff ``c`` d-separates ``a`` from ``b`` in ``g``."""
     a, b, c = _separation_query(g, a, b, c)
-    return _search(g, a, b, c)[1] is None
+    return _search(g, a, c, b=b)[1] is None
 
 
 def connecting_path(g: ADMG, a, b, c):
@@ -101,19 +146,15 @@ def connecting_path(g: ADMG, a, b, c):
     where ``kinds[i]`` is the edge symbol between ``nodes[i]`` and
     ``nodes[i+1]``, or None when the sets are separated."""
     a, b, c = _separation_query(g, a, b, c)
-    pred, hit = _search(g, a, b, c)
+    pred, hit, _ = _search(g, a, c, b=b)
     if hit is None:
         return None
-    nodes, kinds = [hit[0]], []
-    link = pred[hit]
-    while link is not None:
-        state, kind = link
+    nodes, kinds, state = [hit[0]], [], hit
+    while pred[state] is not None:
+        state, kind = pred[state]
         nodes.append(state[0])
         kinds.append(kind)
-        link = pred[state]
-    nodes.reverse()
-    kinds.reverse()
-    return nodes, kinds
+    return nodes[::-1], kinds[::-1]
 
 
 def reachable(g: ADMG, a: Iterable[int], c: Iterable[int]) -> VarSet:
@@ -128,7 +169,7 @@ def reachable(g: ADMG, a: Iterable[int], c: Iterable[int]) -> VarSet:
     c = frozenset(c) & g.nodes
     if a & c:
         raise OverlappingSetsError("endpoint and conditioning sets must be disjoint")
-    pred, _ = _search(g, a, EMPTY, c)
+    pred = _search(g, a, c)[0]
     return frozenset(v for v, _ in pred) - c
 
 
@@ -138,80 +179,10 @@ def blocking_survivors(g: ADMG, x: VarSet, y: VarSet, pool: VarSet) -> VarSet:
 
     This is the greatest fixed point of dropping the members that
     ``reachable`` from ``y`` given ``x`` finds in the graph cut at the
-    remaining pool, computed by one search that carries on instead of
-    restarting.  The search runs in ``g`` with the pool's outgoing edges
-    cut, with ``_search``'s states and exit rules, and drops a member
-    when one of its states is first dequeued.  A drop only adds edges
-    (the member's outgoing ones) and only grows the ancestors of ``x``,
-    so what has been reached stays reached; the drop expands only the
-    exits it opens:
-
-    - the member leaves through its tail to each child;
-    - a child's state already seen with its parent exits open now also
-      leaves to the member;
-    - when a child is an ancestor of ``x``, the member and its uncut
-      ancestors become ones too, and every head-entered state of those
-      that was expanded with its collider exit shut now leaves through it.
-
-    Each state is expanded once, plus once more through its collider exit,
-    so the pass is linear in the size of ``g``; no graph is copied.
+    remaining pool: the members that one search from ``y`` given ``x``,
+    dropping each member it reaches, never reaches.
     """
-    cut = set(pool)
-    anc: set[int] = set()
-    shut: set[int] = set()  # nodes whose head-entered state left no collider exit
-    seen: set[tuple[int, int]] = set()
-    queue: deque[tuple[int, int]] = deque()
-
-    def push(state):
-        if state not in seen:
-            seen.add(state)
-            queue.append(state)
-
-    def leave_by_head(v):
-        for p in g.parents_of(v):
-            if p not in cut:
-                push((p, _TAIL))
-        for s in g.spouses_of(v):
-            push((s, _HEAD))
-
-    def add_ancestors(vs):
-        todo = [v for v in vs if v not in anc]
-        anc.update(todo)
-        while todo:
-            v = todo.pop()
-            if v in shut:
-                leave_by_head(v)
-            for p in g.parents_of(v):
-                if p not in cut and p not in anc:
-                    anc.add(p)
-                    todo.append(p)
-
-    add_ancestors(x)
-    for s in sorted(y):
-        push((s, _TAIL))
-    while queue:
-        v, mark = queue.popleft()
-        children = g.children_of(v)
-        if v in cut:
-            cut.discard(v)
-            if not anc.isdisjoint(children):
-                add_ancestors((v,))
-            if any(((w, _TAIL) in seen and w not in x) or ((w, _HEAD) in seen and w in anc)
-                   for w in children):
-                push((v, _TAIL))
-        # as in _search: x blocks every exit but a collider's, and a
-        # collider exit needs an ancestor of x
-        if v in x:
-            if mark == _HEAD:
-                leave_by_head(v)
-            continue
-        for w in children:
-            push((w, _HEAD))
-        if mark == _TAIL or v in anc:
-            leave_by_head(v)
-        else:
-            shut.add(v)
-    return frozenset(cut)
+    return _search(g, y, x, pool)[2]
 
 
 def format_path(g: ADMG, path) -> str:
@@ -225,15 +196,13 @@ def format_path(g: ADMG, path) -> str:
 
 def proper_causal_path_nodes(g: ADMG, x: Iterable[int], y: Iterable[int]) -> VarSet:
     """Variables lying on proper causal paths from ``x`` to ``y``:
-    descendants of ``x`` once edges into ``x`` are gone, intersected with
-    ancestors of ``y`` once edges out of ``x`` are gone."""
+    descendants of ``x``, intersected with ancestors of ``y`` once edges
+    out of ``x`` are gone."""
     x = g.check_vars(x)
     y = g.check_vars(y)
     if x & y:
         raise OverlappingSetsError("x and y must be disjoint")
-    downstream = g.remove_incoming(x).descendants(x) - x
-    upstream = g.remove_outgoing(x).ancestors(y)
-    return downstream & upstream
+    return (g.descendants(x) - x) & g.remove_outgoing(x).ancestors(y)
 
 
 def causal_path_graph(g: ADMG, x: Iterable[int], y: Iterable[int]) -> ADMG:

@@ -77,6 +77,8 @@ def test_limit(intro):
     assert len(list(list_adjustment_sets(intro, x, y, limit=2))) == 2
     assert list(list_adjustment_sets(intro, x, y, limit=0)) == []
     assert len(list(list_adjustment_sets(intro, x, y, limit=99))) == 4
+    with pytest.raises(PreconditionError):
+        list_adjustment_sets(intro, x, y, limit=-1)
 
 
 def test_stats_counting(intro):

@@ -249,9 +249,16 @@ def test_find_rejects_before_stage2(monkeypatch):
      AlreadyExpandedError),
     (lambda g, x, y: list(list_adjustment_sets(g.expand_latents(), x, y)),
      AlreadyExpandedError),
+    (lambda g, x, y: second_condition_candidates(g, x, frozenset({99}), ix(g, "A,B,C")),
+     UnknownNodeError),
+    (lambda g, x, y: second_condition_candidates(g, x, ix(g, "D"), ix(g, "A,B,C")),
+     PreconditionError),
+    (lambda g, x, y: third_condition_candidates(g, x, y, frozenset({99}), ix(g, "A,B,C")),
+     UnknownNodeError),
 ], ids=["stage1-empty-x", "stage1-r-meets-x", "stage1-unknown-r", "stage1-unknown-x",
         "stage2-pool-meets-x", "stage2-pool-meets-y", "stage2-x-meets-y",
-        "find-expanded", "list-expanded"])
+        "find-expanded", "list-expanded", "stage1-unknown-i", "stage1-i-outside-r",
+        "stage2-unknown-i"])
 def test_stage_input_errors(intro, call, error):
     with pytest.raises(error):
         call(intro, ix(intro, "X"), ix(intro, "Y"))

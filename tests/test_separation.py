@@ -10,10 +10,13 @@ from frontdoor import (
     format_path,
     is_separated,
     proper_causal_path_nodes,
+    second_condition_candidates,
 )
 from frontdoor.oracle import d_separated_oracle, directed_paths, random_admg
+from frontdoor.separation import _HEAD, _TAIL, _search
 
 from conftest import ix
+from test_acceptance import _scaling_admg
 
 
 def test_canonical_separations(canon):
@@ -168,3 +171,56 @@ def test_interception_equivalence_oracle():
             z = frozenset(v for v in rest if rng.random() < 0.4)
             hits_all = all(set(p) & z for p in directed_paths(g, x, y))
             assert hits_all == is_separated(cpg, x, y, z & cpg.nodes)
+
+
+def _pool_searches():
+    rng = random.Random(1998)
+    for _ in range(200):
+        g = random_admg(rng, rng.randint(4, 26), rng.choice((0.1, 0.2, 0.35)),
+                        max_bidirected=rng.randint(0, 6))
+        xv, yv = rng.sample(sorted(g.nodes), 2)
+        x, y = frozenset({xv}), frozenset({yv})
+        rest = g.nodes - x - y
+        yield g, x, y, frozenset(v for v in rest if rng.random() < 0.5)
+        yield g, x, y, rest
+    for n in (200, 400):
+        for seed in (1, 2, 3):
+            g = _scaling_admg(n, seed)
+            for xv in (0, 1):
+                x, y = frozenset({xv}), frozenset({3 * n // 4})
+                yield g, x, y, second_condition_candidates(g, x, frozenset(), g.nodes - x - y)
+
+
+def test_pool_search_links_are_edges():
+    # every predecessor link of a pool search, the pushes a drop makes
+    # included, leads back to a state reached earlier, along an uncut
+    # edge of g in its recorded direction and out of an exit the
+    # d-separation rules leave open; the search reaches exactly the
+    # members it drops
+    dropped = 0
+    for g, x, y, pool in _pool_searches():
+        pred, hit, kept = _search(g, y, x, pool)
+        assert hit is None and kept <= pool
+        anc = g.remove_outgoing(kept).ancestors(x)
+        order = {state: k for k, state in enumerate(pred)}
+        for (w, mark), link in pred.items():
+            if link is None:
+                assert w in y and mark == _TAIL
+                continue
+            (v, entered), kind = link
+            assert order[v, entered] < order[w, mark]
+            if kind == "->":
+                # a tail exit: shut at x, and cut out of a kept member
+                assert w in g.children_of(v) and mark == _HEAD
+                assert v not in x and v not in kept
+                continue
+            # a head exit: open at a tail-entered node outside x, and at a
+            # head-entered one that is an ancestor of x
+            assert (v in anc) if entered == _HEAD else (v not in x)
+            if kind == "<-":
+                assert w in g.parents_of(v) and mark == _TAIL and w not in kept
+            else:
+                assert kind == "<->" and w in g.spouses_of(v) and mark == _HEAD
+        assert {w for w, _ in pred} & pool == pool - kept
+        dropped += len(pool - kept)
+    assert dropped > 1000
