@@ -126,7 +126,10 @@ def _cmd_estimand(args) -> int:
         print("degenerate: empty adjustment set has no adjustment formula",
               file=sys.stderr)
         return 1
-    formula = adjustment_formula(g.names_of(x), g.names_of(y), g.names_of(z))
+    try:
+        formula = adjustment_formula(g.names_of(x), g.names_of(y), g.names_of(z))
+    except ValueError as exc:  # an empty x or y, or overlapping sets
+        raise _UsageError(str(exc)) from exc
     if args.format == "json":
         print(render_json(formula))
     else:

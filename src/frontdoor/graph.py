@@ -5,11 +5,11 @@ confounding.  Nodes are dense integer indices assigned in declaration
 order; every algorithm in this package passes node subsets around as
 ``frozenset`` objects of those indices (the ``VarSet`` alias).
 
-Derived graphs (edge-removal transforms, induced subgraphs, latent
-expansion) keep the index space of the graph they came from, so a VarSet
-computed on one graph stays meaningful on its derivatives.  An induced
-subgraph shrinks the ``nodes`` set without renumbering; latent expansion
-appends fresh indices.
+Derived graphs (``remove_outgoing``, ``induced_subgraph`` and
+``expand_latents``) keep the index space of the graph they came from, so
+a VarSet computed on one graph stays meaningful on its derivatives.  An
+induced subgraph shrinks the ``nodes`` set without renumbering; latent
+expansion appends fresh indices.
 """
 
 from __future__ import annotations
@@ -206,25 +206,6 @@ class ADMG:
 
     # -- transforms ------------------------------------------------------
 
-    def remove_incoming(self, vs: Iterable[int]) -> "ADMG":
-        """Delete every edge with an arrowhead at a member of ``vs``:
-        directed edges into it and all incident bidirected edges."""
-        vs = self.check_vars(vs)
-        parents = list(self._parents)
-        children = list(self._children)
-        spouses = list(self._spouses)
-        for v in vs:
-            for p in parents[v]:
-                children[p] = children[p] - {v}
-            for s in spouses[v]:
-                spouses[s] = spouses[s] - {v}
-            parents[v] = EMPTY
-            spouses[v] = EMPTY
-        return ADMG._from_rows(
-            self.names, self.nodes, self.latent,
-            tuple(parents), tuple(children), tuple(spouses),
-        )
-
     def remove_outgoing(self, vs: Iterable[int]) -> "ADMG":
         """Delete directed edges leaving members of ``vs``.  Bidirected
         edges point into their endpoints and are retained."""
@@ -254,13 +235,6 @@ class ADMG:
             (self._spouses[v] & vs) if v in vs else EMPTY for v in range(len(self.names))
         )
         return ADMG._from_rows(self.names, vs, self.latent, parents, children, spouses)
-
-    def drop_bidirected(self) -> "ADMG":
-        n = len(self.names)
-        return ADMG._from_rows(
-            self.names, self.nodes, self.latent,
-            self._parents, self._children, (EMPTY,) * n,
-        )
 
     def expand_latents(self) -> "ADMG":
         """Replace each bidirected pair with a fresh latent parent of both

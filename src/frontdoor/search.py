@@ -15,6 +15,11 @@ given ``x`` over that pool, which drops the members it reaches as it
 goes (:func:`~frontdoor.separation.blocking_survivors`), and that subset
 is the answer iff it intercepts every causal path.
 
+Interception is a walk in the query graph itself: a directed walk from
+``x`` to ``y`` avoiding ``z`` exists exactly when a proper causal path
+avoiding ``z`` does (cut the walk at its last ``x`` node and its first
+``y`` node), so no causal path graph is built.
+
 ``find_adjustment_set`` is ``feasible(i, r)`` at the root, and
 ``list_adjustment_sets`` walks an include/exclude tree of such checks
 over one engine.  ``check_criterion`` tests condition 1 with the same
@@ -32,7 +37,7 @@ from .errors import AlreadyExpandedError, OverlappingSetsError, PreconditionErro
 from .graph import ADMG, MoralGraph, VarSet
 from .separation import (
     blocking_survivors,
-    causal_path_graph,
+    causal_path_graph,  # noqa: F401  (unused; only bench/tracing.py wraps it here)
     connecting_path,
     format_path,
     is_separated,  # noqa: F401  (unused; only bench/tracing.py wraps it here)
@@ -116,10 +121,12 @@ def _reached(step, start: VarSet, z: VarSet) -> dict[int, int | None]:
     return pred
 
 
-def _missed_causal_path(cpg: ADMG, x: VarSet, y: VarSet, z: VarSet) -> list[int] | None:
-    """A shortest directed path from ``x`` to ``y`` avoiding ``z`` in the
-    causal path graph ``cpg``, or None when ``z`` intercepts them all."""
-    pred = _reached(cpg.children_of, x, z)
+def _missed_causal_path(g: ADMG, x: VarSet, y: VarSet, z: VarSet) -> list[int] | None:
+    """A shortest directed path from ``x`` to ``y`` avoiding ``z`` in
+    ``g``, or None when ``z`` intercepts them all.  It leads to the first
+    node of ``y`` the walk reaches from all of ``x`` at once, so it is a
+    proper causal path: it meets ``x`` and ``y`` only at its ends."""
+    pred = _reached(g.children_of, x, z)
     path = [next((w for w in pred if w in y), None)]
     if path[0] is None:
         return None
@@ -139,7 +146,7 @@ def check_criterion(g: ADMG, x: Iterable[int], y: Iterable[int], z: Iterable[int
     if x & y or x & z or y & z:
         raise OverlappingSetsError("x, y and z must be pairwise disjoint")
 
-    missed = _missed_causal_path(causal_path_graph(g, x, y), x, y, z)
+    missed = _missed_causal_path(g, x, y, z)
     cond1 = missed is None
 
     gx = g.remove_outgoing(x)
@@ -266,38 +273,42 @@ class FrontDoorEngine:
     """Feasibility checks for one validated query, shared by ``find`` and
     ``list``.
 
-    Binds the graph, ``x`` and ``y``, the causal path graph, the stage-1
-    pool of the query's ``r`` and one :class:`BlockingSearch`.  It keeps
-    no answers between checks, so its memory does not grow with the
-    number of checks a listing makes.
+    Binds the graph, ``x`` and ``y``, the stage-1 pool of the query's
+    ``r`` and one :class:`BlockingSearch`.  It keeps no answers between
+    checks, so its memory does not grow with the number of checks a
+    listing makes.
     """
 
     def __init__(self, query: AdjustmentQuery):
-        g = query.graph
+        self.g = g = query.graph
         self.x = query.x
         self.y = query.y
-        self.cpg = causal_path_graph(g, query.x, query.y)
         self.pool = second_condition_candidates(g, query.x, EMPTY, query.r)
         self.blocking = BlockingSearch(g, query.x, query.y)
 
     def forward(self, z: VarSet) -> dict[int, int | None]:
-        """The nodes of the causal path graph reached from ``x`` without
-        entering ``z``; ``z`` intercepts every causal path iff none is in
-        ``y``."""
-        return _reached(self.cpg.children_of, self.x, z)
+        """The nodes of the graph reached from ``x`` along directed edges
+        without entering ``z``; ``z`` intercepts every causal path iff
+        none is in ``y``."""
+        return _reached(self.g.children_of, self.x, z)
 
     def sole_interceptors(self, z: VarSet, before: dict[int, int | None] | None = None) -> VarSet:
         """Members ``v`` of ``z`` that some causal path meets in ``z`` only
         at ``v``, running outside ``z`` from ``x`` to a parent of ``v`` and
         from a child of ``v`` to ``y``: ``z - {v}`` misses that path.
-        ``before`` is ``forward(z)``, when the caller already has it."""
-        cpg = self.cpg
+        ``before`` is ``forward(z)``, when the caller already has it.
+
+        ``z`` must intercept every causal path, as each set ``largest``
+        returns does: then the walk from ``x`` never reaches ``y`` and the
+        walk back from ``y`` never reaches ``x``, so a walk through ``v``
+        joining the two is a causal path."""
+        g = self.g
         if before is None:
             before = self.forward(z)
-        after = _reached(cpg.parents_of, self.y, z)
+        after = _reached(g.parents_of, self.y, z)
         return z.intersection(
-            {v for u in before for v in cpg.children_of(u)},
-            {v for u in after for v in cpg.parents_of(u)},
+            {v for u in before for v in g.children_of(u)},
+            {v for u in after for v in g.parents_of(u)},
         )
 
     def largest(self, i: VarSet, r: VarSet) -> tuple[VarSet, dict[int, int | None]] | None:

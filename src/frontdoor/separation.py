@@ -12,6 +12,10 @@ up to the first node of the target set and report whether and by which
 path it got there; ``reachable`` runs it to the end and returns every
 node it reaches, answering a d-separation question for each node at
 once; ``blocking_survivors`` returns the pool members it never reaches.
+
+``causal_path_graph`` builds the graph of the proper causal paths from
+``x`` to ``y`` in one pass.  The front-door engine does not use it: it
+tests interception by walking the query graph itself.
 """
 
 from __future__ import annotations
@@ -207,10 +211,15 @@ def proper_causal_path_nodes(g: ADMG, x: Iterable[int], y: Iterable[int]) -> Var
 
 def causal_path_graph(g: ADMG, x: Iterable[int], y: Iterable[int]) -> ADMG:
     """Graph containing all and only the proper causal paths from ``x`` to
-    ``y``: restrict to the path variables, cut edges into ``x`` and out of
-    ``y``, and drop what is left of the bidirected part."""
+    ``y``: the directed edges of ``g`` among ``x``, ``y`` and the path
+    variables, except those into ``x`` and out of ``y``, and no bidirected
+    edge."""
     x = g.check_vars(x)
     y = g.check_vars(y)
     keep = x | y | proper_causal_path_nodes(g, x, y)
-    sub = g.induced_subgraph(keep)
-    return sub.remove_incoming(x).remove_outgoing(y).drop_bidirected()
+    heads = keep - x  # nodes that keep their incoming edges
+    tails = keep - y  # nodes that keep their outgoing edges
+    n = len(g.names)
+    parents = tuple(g.parents_of(v) & tails if v in heads else EMPTY for v in range(n))
+    children = tuple(g.children_of(v) & heads if v in tails else EMPTY for v in range(n))
+    return ADMG._from_rows(g.names, keep, g.latent, parents, children, (EMPTY,) * n)

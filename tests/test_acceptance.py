@@ -38,7 +38,6 @@ from frontdoor.oracle import (
     front_door_oracle,
 )
 from frontdoor.search import find_blocking_extension
-from frontdoor.separation import causal_path_graph
 from frontdoor.textformat import parse_graph_text
 
 from conftest import chain_family, ix
@@ -302,7 +301,6 @@ def test_criterion_7_stage_invariants():
             r = frozenset(rest)
             gx = g.remove_outgoing(x)
             pool = second_condition_candidates(g, x, frozenset(), r)
-            cpg = causal_path_graph(g, x, y)
             causal = list(directed_paths(g, x, y))
             for k in range(len(rest) + 1):
                 for sub in combinations(rest, k):
@@ -311,10 +309,9 @@ def test_criterion_7_stage_invariants():
                     # no-back-door condition
                     if z:
                         assert d_separated_oracle(gx, x, z, frozenset()) == (z <= pool)
-                    # separation in the causal path graph is the same as
-                    # hitting every causal path
+                    # condition 1 is hitting every causal path
                     hits = all(set(p) & z for p in causal)
-                    assert hits == is_separated(cpg, x, y, z & cpg.nodes)
+                    assert hits == check_criterion(g, x, y, z).condition1
             # the surviving stage-2 pool blocks its own back-door paths
             survivors = third_condition_candidates(g, x, y, frozenset(), pool)
             if survivors:

@@ -162,6 +162,12 @@ def test_usage_errors(canon_file, intro_file, tmp_path, capsys):
     assert code == 2 and "line 1" in err
     code, _, _ = run(capsys, "find", "-g", str(tmp_path / "missing.cg"), "-x", "A", "-y", "B")
     assert code == 2
+    # the estimand's own set checks are usage errors too
+    for sets in (("-x", "", "-y", "Y", "-z", "Z"),
+                 ("-x", "X", "-y", "X", "-z", "Z"),
+                 ("-x", "X", "-y", "Y", "-z", "X")):
+        code, _, err = run(capsys, "estimand", "-g", canon_file, *sets)
+        assert code == 2 and err.startswith("error: ")
 
 
 def test_case_collision_rejected(tmp_path, capsys):

@@ -64,20 +64,6 @@ def test_closure_rejects_foreign_index(canon):
         canon.ancestors({7})
 
 
-def test_remove_incoming(canon):
-    g = canon.remove_incoming(ix(canon, "X"))
-    # the bidirected edge has an arrowhead at X and counts as incoming
-    assert g.directed_edges == {(0, 1), (1, 2)}
-    assert g.bidirected_edges == frozenset()
-    assert canon.remove_incoming(frozenset()) == canon
-
-
-def test_remove_incoming_intro(intro):
-    g = intro.remove_incoming(ix(intro, "D"))
-    assert (intro.index_of("A"), intro.index_of("D")) not in g.directed_edges
-    assert g.bidirected_edges == {(intro.index_of("X"), intro.index_of("Y"))}
-
-
 def test_remove_outgoing(canon):
     g = canon.remove_outgoing(ix(canon, "X"))
     assert g.directed_edges == {(1, 2)}
@@ -91,7 +77,6 @@ def test_remove_outgoing(canon):
 def test_transforms_idempotent(canon, intro):
     for g in (canon, intro):
         for s in (ix(g, "X"), ix(g, "X,Y")):
-            assert g.remove_incoming(s).remove_incoming(s) == g.remove_incoming(s)
             assert g.remove_outgoing(s).remove_outgoing(s) == g.remove_outgoing(s)
 
 

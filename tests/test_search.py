@@ -357,6 +357,45 @@ def test_sole_interceptors_match_path_enumeration():
             assert engine.sole_interceptors(z) == expect
             checked += bool(expect)
     assert checked > 60
+    # with 1-3-node x and y, on sets that intercept every causal path
+    checked = 0
+    for _ in range(300):
+        g = random_admg(rng, rng.randint(5, 10), rng.choice((0.3, 0.5)))
+        x = frozenset(rng.sample(sorted(g.nodes), rng.randint(1, 3)))
+        rest = sorted(g.nodes - x)
+        y = frozenset(rng.sample(rest, rng.randint(1, min(3, len(rest)))))
+        engine = FrontDoorEngine(AdjustmentQuery(g, x, y))
+        paths = [set(p) for p in directed_paths(g, x, y)]
+        for _ in range(4):
+            z = frozenset(v for v in g.nodes - x - y if rng.random() < 0.6)
+            if not all(p & z for p in paths):
+                continue
+            expect = {v for v in z if any(p & z == {v} for p in paths)}
+            assert engine.sole_interceptors(z) == expect
+            checked += len(x) > 1 or len(y) > 1
+    assert checked > 150
+
+
+def test_interception_builds_no_graph(monkeypatch):
+    # interception walks the query graph: find copies it once, for stage
+    # 1, and check_criterion twice, for conditions 2 and 3
+    g = _scaling_admg(200, 1)
+    x, y = ix(g, "V1"), ix(g, "V150")
+    built = []
+    from_rows = ADMG._from_rows.__func__
+
+    def counted(cls, *rows):
+        built.append(rows)
+        return from_rows(cls, *rows)
+
+    monkeypatch.setattr(ADMG, "_from_rows", classmethod(counted))
+    z = find_adjustment_set(g, x, y)
+    assert z is not None
+    assert len(built) == 1
+    built.clear()
+    assert check_criterion(g, x, y, z).satisfied
+    assert len(built) == 2
+
 
 def test_second_condition_pool_exactness():
     # every subset of the stage-1 pool passes condition 2, and every set

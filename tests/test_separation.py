@@ -6,6 +6,7 @@ from frontdoor import (
     OverlappingSetsError,
     build_graph,
     causal_path_graph,
+    check_criterion,
     connecting_path,
     format_path,
     is_separated,
@@ -111,6 +112,29 @@ def test_causal_path_graph_shape(intro):
         assert v in cpg.ancestors(y) | y
 
 
+def test_causal_path_graph_definition():
+    # the nodes of x, y and the proper causal paths between them, the
+    # edges of g among those nodes except those into x and out of y, and
+    # no bidirected edge
+    rng = random.Random(1995)
+    for _ in range(300):
+        g = random_admg(rng, rng.randint(4, 16), rng.choice((0.15, 0.3, 0.5)),
+                        max_bidirected=4)
+        x = frozenset(rng.sample(sorted(g.nodes), rng.randint(1, 3)))
+        rest = sorted(g.nodes - x)
+        y = frozenset(rng.sample(rest, rng.randint(1, min(3, len(rest)))))
+        cpg = causal_path_graph(g, x, y)
+        keep = x | y | proper_causal_path_nodes(g, x, y)
+        assert cpg.nodes == keep
+        assert cpg.directed_edges == {
+            (u, v) for u, v in g.directed_edges
+            if u in keep - y and v in keep - x
+        }
+        assert cpg.bidirected_edges == frozenset()
+        for v in cpg.nodes:
+            assert cpg.children_of(v) == {w for u, w in cpg.directed_edges if u == v}
+
+
 def test_matches_path_enumeration_oracle():
     rng = random.Random(99)
     for _ in range(150):
@@ -155,8 +179,17 @@ def test_latent_expansion_preserves_separation():
 
 
 def test_interception_equivalence_oracle():
-    # blocking every proper causal path is the same as separation in the
-    # causal path graph
+    # condition 1 holds exactly when the set hits every directed path.
+    # Separation in the causal path graph is not the same thing: in the
+    # fixed graph below {A, C} hits every path, yet it holds the collider
+    # A of X -> A <- B -> Y, which is open there
+    fixed = build_graph(["X", "A", "B", "C", "Y"],
+                        [("X", "A"), ("X", "C"), ("C", "B"), ("B", "A"),
+                         ("A", "Y"), ("B", "Y")])
+    x, y, z = ix(fixed, "X"), ix(fixed, "Y"), ix(fixed, "A,C")
+    assert all(set(p) & z for p in directed_paths(fixed, x, y))
+    assert check_criterion(fixed, x, y, z).condition1
+    assert not is_separated(causal_path_graph(fixed, x, y), x, y, z)
     rng = random.Random(314)
     for _ in range(120):
         g = random_admg(rng, rng.randint(3, 6), rng.choice((0.2, 0.4)))
@@ -165,12 +198,11 @@ def test_interception_equivalence_oracle():
         y = frozenset({rng.choice(nodes)}) - x
         if not y:
             continue
-        cpg = causal_path_graph(g, x, y)
         rest = [v for v in nodes if v not in x | y]
         for _ in range(8):
             z = frozenset(v for v in rest if rng.random() < 0.4)
             hits_all = all(set(p) & z for p in directed_paths(g, x, y))
-            assert hits_all == is_separated(cpg, x, y, z & cpg.nodes)
+            assert hits_all == check_criterion(g, x, y, z).condition1
 
 
 def _pool_searches():
