@@ -11,9 +11,7 @@ from .errors import (
     ParseError,
     PreconditionError,
     RangeTooLargeError,
-    RemovedNodeError,
     SelfLoopError,
-    UnexpandedBidirectedError,
     UnknownNodeError,
 )
 from .estimand import (
@@ -27,7 +25,7 @@ from .estimand import (
     render_json,
     render_text,
 )
-from .graph import ADMG, MoralGraph, VarSet, build_graph
+from .graph import ADMG, VarSet, build_graph
 from .listing import ListStats, list_adjustment_sets
 from .search import (
     AdjustmentQuery,
@@ -35,7 +33,6 @@ from .search import (
     check_criterion,
     find_adjustment_set,
     find_blocking_extension,
-    observed_neighbors,
     second_condition_candidates,
     third_condition_candidates,
 )
@@ -61,18 +58,15 @@ __all__ = [
     "GraphError",
     "GraphTooLargeError",
     "ListStats",
-    "MoralGraph",
     "OverlappingSetsError",
     "ParseError",
     "PreconditionError",
     "Prob",
     "Product",
     "RangeTooLargeError",
-    "RemovedNodeError",
     "SelfLoopError",
     "Sum",
     "Sym",
-    "UnexpandedBidirectedError",
     "UnknownNodeError",
     "VarSet",
     "adjustment_formula",
@@ -86,7 +80,6 @@ __all__ = [
     "format_path",
     "is_separated",
     "list_adjustment_sets",
-    "observed_neighbors",
     "proper_causal_path_nodes",
     "render_json",
     "render_text",

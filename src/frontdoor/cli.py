@@ -55,16 +55,23 @@ def _name_list(g: ADMG, text: str | None, flag: str) -> VarSet:
     return frozenset(out)
 
 
+def _parse_query(args, *flags: str) -> tuple:
+    """The graph, then the name lists of ``-x``, ``-y`` and ``flags`` in
+    that order; an absent ``-r`` stays None (every candidate)."""
+    g = _load_graph(args.graph)
+    return g, *(
+        None if flag == "r" and args.r is None
+        else _name_list(g, getattr(args, flag), f"-{flag}")
+        for flag in ("x", "y", *flags)
+    )
+
+
 def _format_set(g: ADMG, vs: VarSet) -> str:
     return ",".join(g.names_of(vs))
 
 
 def _cmd_find(args) -> int:
-    g = _load_graph(args.graph)
-    x = _name_list(g, args.x, "-x")
-    y = _name_list(g, args.y, "-y")
-    i = _name_list(g, args.i, "-i")
-    r = _name_list(g, args.r, "-r") if args.r is not None else None
+    g, x, y, i, r = _parse_query(args, "i", "r")
     z = find_adjustment_set(g, x, y, i, r)
     if z is None:
         if args.format == "json":
@@ -85,11 +92,7 @@ def _cmd_find(args) -> int:
 def _cmd_list(args) -> int:
     if args.limit < 0:
         raise _UsageError(f"--limit must be 0 (unlimited) or more, not {args.limit}")
-    g = _load_graph(args.graph)
-    x = _name_list(g, args.x, "-x")
-    y = _name_list(g, args.y, "-y")
-    i = _name_list(g, args.i, "-i")
-    r = _name_list(g, args.r, "-r") if args.r is not None else None
+    g, x, y, i, r = _parse_query(args, "i", "r")
     limit = None if args.limit == 0 else args.limit
     count = 0
     for idx, z in enumerate(list_adjustment_sets(g, x, y, i, r, limit=limit)):
@@ -102,10 +105,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    g = _load_graph(args.graph)
-    x = _name_list(g, args.x, "-x")
-    y = _name_list(g, args.y, "-y")
-    z = _name_list(g, args.z, "-z")
+    g, x, y, z = _parse_query(args, "z")
     report = check_criterion(g, x, y, z)
     verdict = {True: "PASS", False: "FAIL"}
     print(f"condition 1 (intercepts all causal paths): {verdict[report.condition1]}")
@@ -118,10 +118,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_estimand(args) -> int:
-    g = _load_graph(args.graph)
-    x = _name_list(g, args.x, "-x")
-    y = _name_list(g, args.y, "-y")
-    z = _name_list(g, args.z, "-z")
+    g, x, y, z = _parse_query(args, "z")
     if not z:
         print("degenerate: empty adjustment set has no adjustment formula",
               file=sys.stderr)

@@ -26,15 +26,7 @@ class AlreadyExpandedError(GraphError):
     graph that already has latent nodes."""
 
 
-class UnexpandedBidirectedError(GraphError):
-    """Moralization requires latent expansion first."""
-
-
 class OverlappingSetsError(GraphError):
-    pass
-
-
-class RemovedNodeError(GraphError):
     pass
 
 

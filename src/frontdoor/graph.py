@@ -5,11 +5,10 @@ confounding.  Nodes are dense integer indices assigned in declaration
 order; every algorithm in this package passes node subsets around as
 ``frozenset`` objects of those indices (the ``VarSet`` alias).
 
-Derived graphs (``remove_outgoing``, ``induced_subgraph`` and
-``expand_latents``) keep the index space of the graph they came from, so
-a VarSet computed on one graph stays meaningful on its derivatives.  An
-induced subgraph shrinks the ``nodes`` set without renumbering; latent
-expansion appends fresh indices.
+Derived graphs (``remove_outgoing`` and ``expand_latents``) keep the
+index space of the graph they came from, so a VarSet computed on one
+graph stays meaningful on its derivatives; latent expansion appends
+fresh indices.
 """
 
 from __future__ import annotations
@@ -22,10 +21,7 @@ from .errors import (
     AlreadyExpandedError,
     CyclicGraphError,
     DuplicateNodeError,
-    PreconditionError,
-    RemovedNodeError,
     SelfLoopError,
-    UnexpandedBidirectedError,
     UnknownNodeError,
 )
 
@@ -183,25 +179,19 @@ class ADMG:
     def ancestors(self, vs: Iterable[int]) -> VarSet:
         """Reflexive-transitive closure of ``vs`` along directed edges,
         against the arrows.  Bidirected edges are never traversed."""
-        seen = set(self.check_vars(vs))
-        stack = list(seen)
-        while stack:
-            v = stack.pop()
-            for p in self._parents[v]:
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        return frozenset(seen)
+        return self._closure(vs, self._parents)
 
     def descendants(self, vs: Iterable[int]) -> VarSet:
+        return self._closure(vs, self._children)
+
+    def _closure(self, vs: Iterable[int], rows: tuple[VarSet, ...]) -> VarSet:
         seen = set(self.check_vars(vs))
         stack = list(seen)
         while stack:
-            v = stack.pop()
-            for c in self._children[v]:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
+            for w in rows[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
         return frozenset(seen)
 
     # -- transforms ------------------------------------------------------
@@ -220,21 +210,6 @@ class ADMG:
             self.names, self.nodes, self.latent,
             tuple(parents), tuple(children), self._spouses,
         )
-
-    def induced_subgraph(self, vs: Iterable[int]) -> "ADMG":
-        """Graph over ``vs`` keeping exactly the edges with both endpoints
-        inside.  Indices are not renumbered; absent nodes lose all edges."""
-        vs = self.check_vars(vs)
-        parents = tuple(
-            (self._parents[v] & vs) if v in vs else EMPTY for v in range(len(self.names))
-        )
-        children = tuple(
-            (self._children[v] & vs) if v in vs else EMPTY for v in range(len(self.names))
-        )
-        spouses = tuple(
-            (self._spouses[v] & vs) if v in vs else EMPTY for v in range(len(self.names))
-        )
-        return ADMG._from_rows(self.names, vs, self.latent, parents, children, spouses)
 
     def expand_latents(self) -> "ADMG":
         """Replace each bidirected pair with a fresh latent parent of both
@@ -270,42 +245,9 @@ class ADMG:
             tuple(parents), tuple(children), tuple(spouses),
         )
 
-    def moralize(self) -> "MoralGraph":
-        """Undirected skeleton of the directed edges plus marriage edges
-        between co-parents.  Bidirected edges must have been expanded."""
-        return self.moral_after_cut(EMPTY, EMPTY)
-
-    # bench/tracing.py also wraps this method
-    def moral_after_cut(self, cut: Iterable[int], drop: Iterable[int]) -> "MoralGraph":
-        """Moralize with the outgoing edges of ``cut`` removed and ``drop``
-        deleted afterwards, in one pass; equivalent to
-        ``remove_outgoing(cut).moralize().remove(drop)``."""
-        cut = frozenset(cut)
-        drop = frozenset(drop)
-        adj: list[set] = [set() for _ in range(len(self.names))]
-        for v in self.nodes:
-            if self._spouses[v]:
-                raise UnexpandedBidirectedError(
-                    "moralize a latent-expanded graph (call expand_latents first)"
-                )
-            ps = [p for p in self._parents[v] if p not in drop and p not in cut]
-            if v not in drop:
-                av = adj[v]
-                for p in ps:
-                    av.add(p)
-                    adj[p].add(v)
-            # marriages between surviving co-parents outlive a dropped child
-            for a, p in enumerate(ps):
-                ap = adj[p]
-                for q in ps[a + 1:]:
-                    ap.add(q)
-                    adj[q].add(p)
-        return MoralGraph(
-            nodes=self.nodes - drop,
-            latent=self.latent,
-            adjacency=adj,
-            removed=drop,
-        )
+    def moral_after_cut(self, *args):
+        """Not implemented; the name is kept only because bench/tracing.py wraps it."""
+        raise NotImplementedError("the moral graph was removed from frontdoor")
 
     # -- misc --------------------------------------------------------
 
@@ -328,75 +270,6 @@ class ADMG:
             f"ADMG({len(self.nodes)} nodes, {len(self.directed_edges)} directed, "
             f"{len(self.bidirected_edges)} bidirected)"
         )
-
-
-class MoralGraph:
-    """Undirected graph produced by :meth:`ADMG.moralize`.
-
-    Node indices are shared with the source graph.  ``removed`` records
-    nodes deleted after moralization; no edge touches a removed node.
-    Adjacency rows are plain sets for speed and must be treated as
-    read-only.
-    """
-
-    __slots__ = ("nodes", "latent", "adjacency", "removed")
-
-    def __init__(self, nodes, latent, adjacency, removed):
-        self.nodes = nodes
-        self.latent = latent
-        self.adjacency = adjacency
-        self.removed = removed
-
-    def neighbors_of(self, v: int) -> VarSet:
-        return self.adjacency[v]
-
-    def observed_neighbors(self, v: int) -> VarSet:
-        """Observed nodes adjacent to ``v``, where latent nodes act as
-        pass-through hops."""
-        if v in self.removed:
-            raise RemovedNodeError(f"node {v} was removed from the moral graph")
-        if self.latent[v]:
-            raise PreconditionError("neighbor expansion starts from an observed node")
-        out = set()
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in self.adjacency[u]:
-                if w in seen:
-                    continue
-                seen.add(w)
-                if self.latent[w]:
-                    stack.append(w)
-                else:
-                    out.add(w)
-        return frozenset(out)
-
-    def remove(self, vs: Iterable[int]) -> "MoralGraph":
-        """Copy of this graph with ``vs`` and their incident edges deleted."""
-        vs = frozenset(vs) & self.nodes
-        if not vs:
-            return self
-        adj = list(self.adjacency)
-        for v in vs:
-            for w in adj[v]:
-                adj[w] = adj[w] - vs
-            adj[v] = EMPTY
-        return MoralGraph(
-            nodes=self.nodes - vs,
-            latent=self.latent,
-            adjacency=tuple(adj),
-            removed=self.removed | vs,
-        )
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (min(u, v), max(u, v)) for u in self.nodes for v in self.adjacency[u]
-        )
-
-    def __repr__(self):
-        return f"MoralGraph({len(self.nodes)} nodes, {len(self.edges)} edges)"
 
 
 def build_graph(

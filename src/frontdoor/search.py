@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import AlreadyExpandedError, OverlappingSetsError, PreconditionError
-from .graph import ADMG, MoralGraph, VarSet
+from .graph import ADMG, VarSet
 from .separation import (
     blocking_survivors,
     causal_path_graph,  # noqa: F401  (unused; only bench/tracing.py wraps it here)
@@ -189,9 +189,9 @@ def second_condition_candidates(g: ADMG, x: VarSet, i: VarSet, r: VarSet) -> Var
     return None if i & open_from_x else r - open_from_x
 
 
-# a moral graph's neighbour expansion under its public name; nothing here
-# calls it, and bench/tracing.py wraps it here
-observed_neighbors = MoralGraph.observed_neighbors
+def observed_neighbors(*args):
+    """Not implemented; the name is kept only because bench/tracing.py wraps it."""
+    raise NotImplementedError("the moral graph was removed from frontdoor")
 
 
 class BlockingSearch:

@@ -1,11 +1,11 @@
 import pytest
 
+import frontdoor
 from frontdoor import (
     AlreadyExpandedError,
     CyclicGraphError,
     DuplicateNodeError,
     SelfLoopError,
-    UnexpandedBidirectedError,
     UnknownNodeError,
     build_graph,
 )
@@ -80,14 +80,6 @@ def test_transforms_idempotent(canon, intro):
             assert g.remove_outgoing(s).remove_outgoing(s) == g.remove_outgoing(s)
 
 
-def test_induced_subgraph(canon):
-    g = canon.induced_subgraph(ix(canon, "X,Z"))
-    assert g.nodes == ix(canon, "X,Z")
-    assert g.directed_edges == {(0, 1)}
-    assert g.bidirected_edges == frozenset()
-    assert canon.induced_subgraph(canon.nodes) == canon
-
-
 def test_expand_latents(canon, intro):
     g = canon.expand_latents()
     assert len(g.nodes) == 4
@@ -107,42 +99,17 @@ def test_expand_latents(canon, intro):
         g.expand_latents()
 
 
-def test_moralize_chain_and_collider():
-    chain = build_graph(["X", "Z", "Y"], [("X", "Z"), ("Z", "Y")])
-    assert chain.moralize().edges == {(0, 1), (1, 2)}
-    collider = build_graph(["A", "C", "B"], [("A", "C"), ("B", "C")])
-    # co-parents of C get married
-    assert collider.moralize().edges == {(0, 1), (1, 2), (0, 2)}
-
-
-def test_moralize_expanded_canonical(canon):
-    g = canon.expand_latents()
-    lat = next(v for v in g.nodes if g.latent[v])
-    m = g.moralize()
-    x, z, y = 0, 1, 2
-    assert m.edges == {
-        (min(lat, x), max(lat, x)),
-        (min(lat, y), max(lat, y)),
-        (x, z),
-        (z, y),
-        (min(lat, z), max(lat, z)),  # marriage: co-parents of Y
-    }
-
-
-def test_moralize_requires_expansion(canon):
-    with pytest.raises(UnexpandedBidirectedError):
-        canon.moralize()
-
-
-def test_moral_remove(canon):
-    m = canon.expand_latents().moralize().remove(ix(canon, "X"))
-    assert 0 in m.removed
-    assert all(0 not in m.neighbors_of(v) for v in m.nodes)
-    assert 0 not in m.nodes
-
-
 def test_name_round_trips(intro):
     assert intro.index_of("C") == 3
     assert intro.names_of(ix(intro, "D,A")) == ["A", "D"]
     with pytest.raises(UnknownNodeError):
         intro.index_of("missing")
+
+
+def test_export_list():
+    exported = frontdoor.__all__
+    assert len(set(exported)) == len(exported)
+    assert all(hasattr(frontdoor, name) for name in exported)
+    removed = {"MoralGraph", "RemovedNodeError", "UnexpandedBidirectedError",
+               "observed_neighbors"}
+    assert not removed & set(exported)

@@ -6,7 +6,6 @@ from frontdoor import (
     AlreadyExpandedError,
     OverlappingSetsError,
     PreconditionError,
-    RemovedNodeError,
     UnknownNodeError,
     build_graph,
     check_criterion,
@@ -14,7 +13,6 @@ from frontdoor import (
     find_blocking_extension,
     is_separated,
     list_adjustment_sets,
-    observed_neighbors,
     second_condition_candidates,
     third_condition_candidates,
 )
@@ -127,37 +125,6 @@ def test_second_condition_intro(intro):
     assert second_condition_candidates(intro, x, frozenset(), ix(intro, "A,B,C,D")) == ix(intro, "A,B,C")
     assert second_condition_candidates(intro, x, ix(intro, "D"), ix(intro, "A,B,C,D")) is None
     assert second_condition_candidates(intro, x, frozenset(), frozenset()) == frozenset()
-
-
-# -- neighbor expansion through latents ----------------------------------
-
-
-def test_observed_neighbors_plain():
-    g = build_graph(["V", "W"], [("V", "W")])
-    m = g.moralize()
-    assert observed_neighbors(m, g.index_of("V")) == ix(g, "W")
-
-
-def test_observed_neighbors_latent_hop(canon):
-    m = canon.expand_latents().moralize().remove(ix(canon, "X"))
-    # frozen from applying the definition on the four-node moral graph:
-    # Z keeps Y directly and reaches nothing new through the latent
-    assert observed_neighbors(m, canon.index_of("Z")) == ix(canon, "Y")
-    assert observed_neighbors(m, canon.index_of("Y")) == ix(canon, "Z")
-    with pytest.raises(RemovedNodeError):
-        observed_neighbors(m, canon.index_of("X"))
-    lat = m.latent.index(True)
-    with pytest.raises(PreconditionError):
-        observed_neighbors(m, lat)
-
-
-def test_observed_neighbors_chain_of_latents():
-    g = build_graph(["V", "W", "U"], bidirected=[("V", "W"), ("W", "U")])
-    m = g.expand_latents().moralize()
-    # both latents are parents of W, so moralization marries them and V
-    # reaches U through a purely latent stretch
-    assert observed_neighbors(m, g.index_of("V")) == ix(g, "W,U")
-    assert observed_neighbors(m, g.index_of("W")) == ix(g, "V,U")
 
 
 # -- stage 2 walker ------------------------------------------------------
