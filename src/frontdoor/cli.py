@@ -27,7 +27,7 @@ class _UsageError(Exception):
 def _load_graph(path: str) -> ADMG:
     try:
         g = parse_graph_file(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read graph file: {exc}") from exc
     lowered: dict[str, str] = {}
     for name in g.names:

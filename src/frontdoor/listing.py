@@ -16,11 +16,16 @@ reach the leaf ``m`` with no further check: a node emits ``m`` at once
 the way, except those dropping a sole interceptor of a causal path,
 which hold no admissible set.  So every check that succeeds emits a set,
 the checks between two emissions stay within one root-to-leaf round
-trip (at most ``2n + 1``), and a check runs one linear-time
-d-connection search and at most three interception walks; a node that
-stacks exclude branches reuses its check's last forward walk.  The walk
-stores its stack and no answers, so memory does not grow with the
-output.
+trip (at most ``2n + 1``).  The root check runs one linear-time
+d-connection search and at most two forward walks from ``x``.  An
+exclude branch's check resumes the check of the node that stacked it:
+it copies that check's search state and walks, frees the pivot and
+grows them by what that opens, so no check costs more than a fresh
+O(n + m) one and the delay stays O(n(n + m)).  A node with exclude
+branches adds one walk back from ``y``.  The walk stores its stack and
+no answers: one check per tree level, O(n + m) each and shared by that
+node's stacked siblings, so memory is O(depth (n + m)) and does not
+grow with the output.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Iterable, Iterator
 
 from .errors import PreconditionError
 from .graph import ADMG, VarSet
-from .search import AdjustmentQuery, EMPTY, FrontDoorEngine
+from .search import AdjustmentQuery, Check, EMPTY, FrontDoorEngine
 # nothing here calls these two names; only bench/tracing.py uses them, to
 # wrap them in this module's namespace
 from .separation import causal_path_graph, is_separated  # noqa: F401
@@ -76,27 +81,27 @@ def list_adjustment_sets(
 
     def walk() -> Iterator[VarSet]:
         # exclude branches still to walk, as (include set of the node that
-        # stacked it, that node's largest set, banned pivot).  A deque: a
-        # list emptied once resizes through the system allocator ever
-        # after, and the small blocks that frees pile up until some large
+        # stacked it, that node's check, banned pivot).  A deque: a list
+        # emptied once resizes through the system allocator ever after,
+        # and the small blocks that frees pile up until some large
         # allocation consolidates them all at once, a stall of 0.1-0.2 ms
-        stack: deque[tuple[VarSet, VarSet, int]] = deque()
-        inc, rest = query.i, query.r
+        stack: deque[tuple[VarSet, Check, int]] = deque()
+        inc, rest, parent = query.i, query.r, None
         while True:
             stats.find_calls += 1
-            found = engine.largest(inc, rest)
+            found = engine.largest(inc, rest, parent)
             if found is not None:
-                largest, before = found
                 stats.emitted += 1
-                yield largest
-                pivots = largest - inc
+                yield found.z
+                pivots = found.z - inc
                 if pivots:
-                    pivots -= engine.sole_interceptors(largest, before)
-                stack.extend((inc, largest, v) for v in sorted(pivots))
+                    found.after = engine.backward(found.z, parent)
+                    pivots -= engine.sole_interceptors(found.z, found.before, found.after)
+                stack.extend((inc, found, v) for v in sorted(pivots))
             if not stack:
                 return
-            base, largest, v = stack.pop()
-            inc = base | {p for p in largest if p < v}
-            rest = largest - {v}
+            base, parent, v = stack.pop()
+            inc = base | {p for p in parent.z if p < v}
+            rest = parent.z - {v}
 
     return walk() if limit is None else islice(walk(), limit)

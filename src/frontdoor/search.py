@@ -107,17 +107,21 @@ class CriterionReport:
         return self.condition1 and self.condition2 and self.condition3
 
 
-def _reached(step, start: VarSet, z: VarSet) -> dict[int, int | None]:
+def _reached(step, start, z: VarSet, walk=None) -> dict[int, int | None]:
     """Breadth-first predecessors of the nodes reached from ``start``
-    along ``step`` without entering ``z``, in the order they are reached."""
-    pred = dict.fromkeys(start)
-    queue = deque(sorted(start))
+    along ``step``, in the order they are reached; the walk enters the
+    members of ``z`` it meets but goes no further through them.  Given
+    ``walk``, the result of such a walk blocked by ``z | start``, it
+    carries a copy of that on through the members of ``start`` it met."""
+    pred = dict.fromkeys(start) if walk is None else dict(walk)
+    queue = deque(sorted(start if walk is None else walk.keys() & start))
     while queue:
         v = queue.popleft()
         for w in step(v):
-            if w not in pred and w not in z:
+            if w not in pred:
                 pred[w] = v
-                queue.append(w)
+                if w not in z:
+                    queue.append(w)
     return pred
 
 
@@ -217,13 +221,13 @@ class BlockingSearch:
     def prepare(self, t: VarSet) -> None:
         """Does nothing; kept only because bench/tracing.py wraps it."""
 
-    def survivors(self, pool: VarSet) -> VarSet:
+    def survivors(self, pool: VarSet, state=None) -> VarSet:
         """The largest subset of ``pool`` meeting the third condition: the
         members that some set within ``pool`` containing them meets it
-        with."""
+        with.  ``state`` is the search's, as in ``blocking_survivors``."""
         if pool & (self.x | self.y):
             raise PreconditionError("the pool may not overlap x or y")
-        return blocking_survivors(self.g, self.x, self.y, pool)
+        return blocking_survivors(self.g, self.x, self.y, pool, state)
 
     def extension(self, t: VarSet, pool: VarSet) -> VarSet | None:
         """An inclusion-minimal set of helpers from ``pool`` with which
@@ -269,6 +273,16 @@ def third_condition_candidates(
     return kept if i <= kept else None
 
 
+class Check:
+    """A check's set ``z`` with the work its exclude branches resume: the
+    final stage-2 search state, ``forward(z)`` and, once made, ``backward(z)``."""
+
+    __slots__ = ("z", "state", "before", "after")
+
+    def __init__(self, z: VarSet, state: tuple, before: dict[int, int | None]):
+        self.z, self.state, self.before, self.after = z, state, before, None
+
+
 class FrontDoorEngine:
     """Feasibility checks for one validated query, shared by ``find`` and
     ``list``.
@@ -277,6 +291,11 @@ class FrontDoorEngine:
     ``r`` and one :class:`BlockingSearch`.  It keeps no answers between
     checks, so its memory does not grow with the number of checks a
     listing makes.
+
+    A check on a parent check's set less one member resumes the parent's
+    search from a copy of its state with the member freed and grows
+    copies of its walks: freeing only removes cuts and blocks, so all the
+    parent reached stays reached, and each ends where a fresh one would.
     """
 
     def __init__(self, query: AdjustmentQuery):
@@ -286,56 +305,72 @@ class FrontDoorEngine:
         self.pool = second_condition_candidates(g, query.x, EMPTY, query.r)
         self.blocking = BlockingSearch(g, query.x, query.y)
 
-    def forward(self, z: VarSet) -> dict[int, int | None]:
+    def forward(self, z: VarSet, parent: Check | None = None) -> dict[int, int | None]:
         """The nodes of the graph reached from ``x`` along directed edges
-        without entering ``z``; ``z`` intercepts every causal path iff
-        none is in ``y``."""
-        return _reached(self.g.children_of, self.x, z)
+        without passing through ``z`` (the members met are entered); ``z``
+        intercepts every causal path iff none is in ``y``.  Given
+        ``parent``, a check whose set holds ``z``, it grows a copy of its walk."""
+        if parent is None:
+            return _reached(self.g.children_of, self.x, z)
+        return _reached(self.g.children_of, parent.z - z, z, parent.before)
 
-    def sole_interceptors(self, z: VarSet, before: dict[int, int | None] | None = None) -> VarSet:
+    def backward(self, z: VarSet, parent: Check | None = None) -> dict[int, int | None]:
+        """:meth:`forward` from ``y`` against the edges' direction."""
+        if parent is None:
+            return _reached(self.g.parents_of, self.y, z)
+        return _reached(self.g.parents_of, parent.z - z, z, parent.after)
+
+    def sole_interceptors(self, z: VarSet, before=None, after=None) -> VarSet:
         """Members ``v`` of ``z`` that some causal path meets in ``z`` only
         at ``v``, running outside ``z`` from ``x`` to a parent of ``v`` and
         from a child of ``v`` to ``y``: ``z - {v}`` misses that path.
-        ``before`` is ``forward(z)``, when the caller already has it.
+        ``before`` and ``after`` are ``forward(z)`` and ``backward(z)``,
+        when the caller already has them.
 
         ``z`` must intercept every causal path, as each set ``largest``
         returns does: then the walk from ``x`` never reaches ``y`` and the
         walk back from ``y`` never reaches ``x``, so a walk through ``v``
         joining the two is a causal path."""
-        g = self.g
         if before is None:
             before = self.forward(z)
-        after = _reached(g.parents_of, self.y, z)
-        return z.intersection(
-            {v for u in before for v in g.children_of(u)},
-            {v for u in after for v in g.parents_of(u)},
-        )
+        if after is None:
+            after = self.backward(z)
+        return z.intersection(before, after)
 
-    def largest(self, i: VarSet, r: VarSet) -> tuple[VarSet, dict[int, int | None]] | None:
+    def largest(self, i: VarSet, r: VarSet, parent: Check | None = None) -> Check | None:
         """The largest admissible set within ``[i, r]`` for ``r`` inside
-        the query's ``r`` together with ``forward`` of that set, or None
-        when the interval holds no admissible set."""
+        the query's ``r``, with the work that found it, or None when the
+        interval holds no admissible set.
+
+        ``parent``, when given, is a check whose set is ``r`` plus one
+        member that no causal path meets alone in it: ``r`` intercepts
+        every causal path, so no walk tests it, and the check resumes
+        ``parent``'s search and walks."""
         pool = r & self.pool
         if not i <= pool:
             return None
-        before = self.forward(pool)
-        if not self.y.isdisjoint(before):
-            return None
-        survivors = self.blocking.survivors(pool)
+        if parent is None:
+            start, state, before = pool, ({}, set(), set(), set()), self.forward(pool)
+            if not self.y.isdisjoint(before):
+                return None
+        else:
+            pred, anc, shut, cut = parent.state
+            start, state = parent.z, (pred.copy(), anc.copy(), shut.copy(), cut.copy())
+        survivors = self.blocking.survivors(pool, state)
         if not i <= survivors:
             return None
         # an unshrunk pool was just seen to intercept every causal path
-        if survivors != pool:
-            before = self.forward(survivors)
+        if survivors != start:
+            before = self.forward(survivors, parent)
             if not self.y.isdisjoint(before):
                 return None
-        return survivors, before
+        return Check(survivors, state, before)
 
     def feasible(self, i: VarSet, r: VarSet) -> VarSet | None:
         """The largest admissible set within ``[i, r]`` for ``r`` inside
         the query's ``r``, or None when that interval holds none."""
         found = self.largest(i, r)
-        return None if found is None else found[0]
+        return None if found is None else found.z
 
 
 def find_adjustment_set(

@@ -26,10 +26,10 @@ from typing import Iterable
 from .errors import OverlappingSetsError, PreconditionError
 from .graph import ADMG, EMPTY, VarSet
 
-_TAIL, _HEAD = 0, 1
+_TAIL, _HEAD, _FREE = 0, 1, 2
 
 
-def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMPTY):
+def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMPTY, state=None):
     """Breadth-first search for open paths from ``a`` given ``c`` in ``g``
     with the outgoing edges of ``pool`` cut, dropping each pool member it
     reaches.
@@ -54,11 +54,21 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
 
     Each state is expanded once, plus once more through its collider exit,
     so the search is linear in the size of ``g``; no graph is copied.
+
+    ``state``, when given, is ``(pred, anc, shut, cut)``: the containers
+    the search works in, which the caller keeps.  Empty, they start a
+    fresh search.  Holding a copy of what a run to the end left, they
+    resume that run: each member of its ``cut`` outside ``pool`` is
+    queued as ``(v, _FREE)``, which runs the step that drops a reached
+    member and nothing more, and the queue runs on to the end.  Freeing,
+    like a drop, only adds edges and grows the ancestors of ``c``, so
+    what the earlier run reached stays reached, the result is that of a
+    fresh search with ``pool``, and only the states the freed edges open
+    are expanded.
     """
-    cut = set(pool)
-    anc: set[int] = set()  # ancestors of c once the outgoing edges of cut are gone
-    shut: set[int] = set()  # nodes whose head-entered state left no collider exit
-    pred: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {}
+    pred, anc, shut, cut = ({}, set(), set(), set()) if state is None else state
+    # anc: ancestors of c once the outgoing edges of cut are gone;
+    # shut: nodes whose head-entered state left no collider exit
     queue: deque[tuple[int, int]] = deque()
     hit = None
 
@@ -89,10 +99,14 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
                     anc.add(p)
                     todo.append(p)
 
-    add_ancestors(c)
-    for s in sorted(a):
-        pred[(s, _TAIL)] = None
-        queue.append((s, _TAIL))
+    if pred:
+        queue.extend((v, _FREE) for v in sorted(cut - pool))
+    else:
+        cut.update(pool)
+        add_ancestors(c)
+        for s in sorted(a):
+            pred[(s, _TAIL)] = None
+            queue.append((s, _TAIL))
     while queue and hit is None:
         frm = queue.popleft()
         v, mark = frm
@@ -109,6 +123,8 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
                 if (w, _HEAD) in pred and w in anc:
                     push((v, _TAIL), (w, _HEAD), "<-")
                     break
+            if mark == _FREE:  # freed by a resume, not reached
+                continue
         # Leaving through a tail (v -> w) never makes v a collider;
         # leaving through a head (v <- w, v <-> w) does iff we entered
         # through a head.  c blocks every exit but a collider's, and an
@@ -177,16 +193,17 @@ def reachable(g: ADMG, a: Iterable[int], c: Iterable[int]) -> VarSet:
     return frozenset(v for v, _ in pred) - c
 
 
-def blocking_survivors(g: ADMG, x: VarSet, y: VarSet, pool: VarSet) -> VarSet:
+def blocking_survivors(g: ADMG, x: VarSet, y: VarSet, pool: VarSet, state=None) -> VarSet:
     """The largest subset ``z`` of ``pool`` that no path open given ``x``
     joins to ``y`` once the outgoing edges of ``z`` are cut.
 
     This is the greatest fixed point of dropping the members that
     ``reachable`` from ``y`` given ``x`` finds in the graph cut at the
     remaining pool: the members that one search from ``y`` given ``x``,
-    dropping each member it reaches, never reaches.
+    dropping each member it reaches, never reaches.  ``state`` is handed
+    to that search, to keep or to resume (see ``_search``).
     """
-    return _search(g, y, x, pool)[2]
+    return _search(g, y, x, pool, state=state)[2]
 
 
 def format_path(g: ADMG, path) -> str:

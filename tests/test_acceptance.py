@@ -2,9 +2,9 @@
 
 One test per acceptance criterion; each prints a ``ACCEPTANCE PASS``
 line on success (run with ``pytest tests/test_acceptance.py -v -s``).
-Criterion 5's wall-clock bound is asserted at full strength; its gaps
-last tens of microseconds, so it holds on a quiet machine and a
-scheduler stall can break it on a loaded one, as that test's docstring
+Criterion 5's wall-clock bound is asserted at full strength, on each
+gap's minimum over five drains; its gaps last tens of microseconds, so
+one scheduler stall outweighs any of them, as that test's docstring
 records.
 """
 
@@ -203,9 +203,11 @@ def test_criterion_5_poly_delay():
 
     The feasibility-call bound holds with room to spare: the walk makes
     one check per set here.  The wall-clock bound (max gap <= 5x median
-    gap) is asserted as well.  Gaps last tens of microseconds, so a
-    single scheduler stall in every one of the five drains still breaks
-    it on a loaded machine.
+    gap) is asserted as well, on each gap's minimum over five drains: the
+    stream is the same on every drain, so gap j is the same work each
+    time, and the minimum drops a scheduler stall unless it hits that
+    same gap in all five.  Gaps last tens of microseconds, so one stall
+    outweighs any gap.
     """
     g = chain_family(8)
     x, y = ix(g, "X"), ix(g, "Y")
@@ -213,6 +215,7 @@ def test_criterion_5_poly_delay():
 
     best_ratio = math.inf
     worst_calls = 0
+    fastest = None
     for _ in range(5):
         stats = ListStats()
         stream = list_adjustment_sets(g, x, y, stats=stats)
@@ -235,15 +238,18 @@ def test_criterion_5_poly_delay():
         assert emitted == 3 ** 8
         worst_calls = max(worst_calls, max(gaps_c))
         best_ratio = min(best_ratio, max(gaps_t) / statistics.median(gaps_t))
+        fastest = gaps_t if fastest is None else list(map(min, fastest, gaps_t))
+    ratio = max(fastest) / statistics.median(fastest)
 
     assert worst_calls <= 2 * n + 1, f"{worst_calls} checks in one gap"
     print(f"criterion 5: max {worst_calls} checks per gap (bound {2*n+1}); "
-          f"best wall max/median ratio {best_ratio:.1f}")
-    assert best_ratio <= 5.0, (
-        f"max inter-emission wall time is {best_ratio:.1f}x the median "
-        f"(stated tolerance 5x); the call-count clause passed at "
-        f"{worst_calls} <= {2*n+1}")
-    _done(5, f"delay bounded: {worst_calls} checks/gap, wall ratio {best_ratio:.1f}")
+          f"wall max/median ratio {ratio:.1f} over per-gap minimums "
+          f"(best single drain {best_ratio:.1f})")
+    assert ratio <= 5.0, (
+        f"max inter-emission wall time is {ratio:.1f}x the median, each gap "
+        f"its minimum over five drains (stated tolerance 5x); the call-count "
+        f"clause passed at {worst_calls} <= {2*n+1}")
+    _done(5, f"delay bounded: {worst_calls} checks/gap, wall ratio {ratio:.1f}")
 
 
 # -- 6 ------------------------------------------------------------------

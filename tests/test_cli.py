@@ -170,6 +170,18 @@ def test_usage_errors(canon_file, intro_file, tmp_path, capsys):
         assert code == 2 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("find",), ("list",), ("check", "-z", "A"), ("estimand", "-z", "A")])
+def test_graph_file_not_utf8_is_usage_error(tmp_path, capsys, argv):
+    # exit 1 means a valid query without a set, so a file that cannot be
+    # decoded is reported as a bad input, not as a traceback
+    path = tmp_path / "bad.cg"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, argv[0], "-g", str(path), "-x", "X", "-y", "Y", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read graph file") and "utf-8" in err
+
+
 def test_case_collision_rejected(tmp_path, capsys):
     path = tmp_path / "g.cg"
     path.write_text("A -> b\nB -> b2\n")

@@ -13,8 +13,9 @@ from frontdoor import (
     proper_causal_path_nodes,
     second_condition_candidates,
 )
-from frontdoor.oracle import d_separated_oracle, directed_paths, random_admg
-from frontdoor.separation import _HEAD, _TAIL, _search
+from frontdoor.oracle import d_separated_oracle, directed_paths, random_admg, survivors_fixed_point
+from frontdoor.search import _reached
+from frontdoor.separation import _HEAD, _TAIL, _search, blocking_survivors
 
 from conftest import ix
 from test_acceptance import _scaling_admg
@@ -256,3 +257,53 @@ def test_pool_search_links_are_edges():
         assert {w for w, _ in pred} & pool == pool - kept
         dropped += len(pool - kept)
     assert dropped > 1000
+
+
+def _survivor_pools():
+    rng = random.Random(2211)
+    for _ in range(150):
+        g = random_admg(rng, rng.randint(4, 26), rng.choice((0.1, 0.2, 0.35)),
+                        max_bidirected=rng.randint(0, 6))
+        xv, yv = rng.sample(sorted(g.nodes), 2)
+        x, y = frozenset({xv}), frozenset({yv})
+        rest = g.nodes - x - y
+        yield g, x, y, frozenset(v for v in rest if rng.random() < 0.6)
+        yield g, x, y, rest
+    for n in (50, 200, 800):
+        for seed in (1, 2, 3):
+            g = _scaling_admg(n, seed)
+            x, y = frozenset({1}), frozenset({3 * n // 4})
+            rest = g.nodes - x - y
+            yield g, x, y, second_condition_candidates(g, x, frozenset(), rest)
+            yield g, x, y, frozenset(v for v in rest if v % 3)
+
+
+def test_resumed_search_matches_fresh():
+    # a copy of a finished stage-2 run over m = blocking_survivors(pool),
+    # resumed with one member v freed, keeps what a fresh run over
+    # m - {v} keeps; its links are edges of g; and the walks grown from
+    # m's by what it leaves out reach what fresh walks do
+    resumed = shrunk = 0
+    for g, x, y, pool in _survivor_pools():
+        state = ({}, set(), set(), set())
+        m = _search(g, y, x, pool, state=state)[2]
+        before = _reached(g.children_of, x, m)
+        after = _reached(g.parents_of, y, m)
+        for v in sorted(m):
+            fresh = blocking_survivors(g, x, y, m - {v})
+            assert fresh == survivors_fixed_point(g, x, y, m - {v})
+            pred, hit, kept = _search(g, y, x, m - {v}, state=tuple(s.copy() for s in state))
+            assert hit is None and kept == fresh
+            order = {s: k for k, s in enumerate(pred)}
+            for (w, mark), link in pred.items():
+                if link is not None:
+                    (u, entered), kind = link
+                    edges = {"->": g.children_of, "<-": g.parents_of, "<->": g.spouses_of}[kind]
+                    assert w in edges(u) and w not in kept
+                    assert order[u, entered] < order[w, mark]
+            for step, start, walk in ((g.children_of, x, before), (g.parents_of, y, after)):
+                grown = _reached(step, m - kept, kept, walk)
+                assert grown.keys() == _reached(step, start, kept).keys()
+            resumed += 1
+            shrunk += kept != m - {v}
+    assert resumed > 1000 and shrunk > 100
