@@ -93,11 +93,7 @@ def list_adjustment_sets(
             if found is not None:
                 stats.emitted += 1
                 yield found.z
-                pivots = found.z - inc
-                if pivots:
-                    found.after = engine.backward(found.z, parent)
-                    pivots -= engine.sole_interceptors(found.z, found.before, found.after)
-                stack.extend((inc, found, v) for v in sorted(pivots))
+                stack.extend((inc, found, v) for v in sorted(engine.pivots(found, parent, inc)))
             if not stack:
                 return
             base, parent, v = stack.pop()

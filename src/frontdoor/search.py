@@ -274,8 +274,8 @@ def third_condition_candidates(
 
 
 class Check:
-    """A check's set ``z`` with the work its exclude branches resume: the
-    final stage-2 search state, ``forward(z)`` and, once made, ``backward(z)``."""
+    """A check's set ``z``, its final stage-2 search state, ``forward(z)``
+    and, once :meth:`FrontDoorEngine.pivots` has made it, ``backward(z)``."""
 
     __slots__ = ("z", "state", "before", "after")
 
@@ -315,7 +315,8 @@ class FrontDoorEngine:
         return _reached(self.g.children_of, parent.z - z, z, parent.before)
 
     def backward(self, z: VarSet, parent: Check | None = None) -> dict[int, int | None]:
-        """:meth:`forward` from ``y`` against the edges' direction."""
+        """:meth:`forward` from ``y`` against the edges' direction; a
+        ``parent`` must have had its exclude branches taken by :meth:`pivots`."""
         if parent is None:
             return _reached(self.g.parents_of, self.y, z)
         return _reached(self.g.parents_of, parent.z - z, z, parent.after)
@@ -337,30 +338,39 @@ class FrontDoorEngine:
             after = self.backward(z)
         return z.intersection(before, after)
 
+    def pivots(self, found: Check, parent: Check | None, i: VarSet) -> VarSet:
+        """For ``found = largest(i, r, parent)``, the members ``v`` of
+        ``found.z - i`` whose exclude branch ``found.z - {v}`` intercepts
+        every causal path; makes the backward walk those branches grow."""
+        pivots = found.z - i
+        if pivots:
+            found.after = self.backward(found.z, parent)
+            pivots -= self.sole_interceptors(found.z, found.before, found.after)
+        return pivots
+
     def largest(self, i: VarSet, r: VarSet, parent: Check | None = None) -> Check | None:
         """The largest admissible set within ``[i, r]`` for ``r`` inside
         the query's ``r``, with the work that found it, or None when the
         interval holds no admissible set.
 
-        ``parent``, when given, is a check whose set is ``r`` plus one
-        member that no causal path meets alone in it: ``r`` intercepts
-        every causal path, so no walk tests it, and the check resumes
-        ``parent``'s search and walks."""
+        ``parent``, when given, is a check whose set is ``r`` plus one of
+        its ``pivots``: ``r`` intercepts every causal path, so no walk
+        tests it, and the check resumes ``parent``'s search and walks."""
         pool = r & self.pool
         if not i <= pool:
             return None
         if parent is None:
-            start, state, before = pool, ({}, set(), set(), set()), self.forward(pool)
+            state, before = ({}, set(), set(), set()), self.forward(pool)
             if not self.y.isdisjoint(before):
                 return None
         else:
             pred, anc, shut, cut = parent.state
-            start, state = parent.z, (pred.copy(), anc.copy(), shut.copy(), cut.copy())
+            state = (pred.copy(), anc.copy(), shut.copy(), cut.copy())
         survivors = self.blocking.survivors(pool, state)
         if not i <= survivors:
             return None
-        # an unshrunk pool was just seen to intercept every causal path
-        if survivors != start:
+        # an unshrunk root pool was just seen to intercept every causal path
+        if parent is not None or survivors != pool:
             before = self.forward(survivors, parent)
             if not self.y.isdisjoint(before):
                 return None

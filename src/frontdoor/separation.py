@@ -55,16 +55,13 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
     Each state is expanded once, plus once more through its collider exit,
     so the search is linear in the size of ``g``; no graph is copied.
 
-    ``state``, when given, is ``(pred, anc, shut, cut)``: the containers
-    the search works in, which the caller keeps.  Empty, they start a
-    fresh search.  Holding a copy of what a run to the end left, they
-    resume that run: each member of its ``cut`` outside ``pool`` is
-    queued as ``(v, _FREE)``, which runs the step that drops a reached
-    member and nothing more, and the queue runs on to the end.  Freeing,
-    like a drop, only adds edges and grows the ancestors of ``c``, so
-    what the earlier run reached stays reached, the result is that of a
-    fresh search with ``pool``, and only the states the freed edges open
-    are expanded.
+    ``state``, when given, is ``(pred, anc, shut, cut)``, the containers
+    the search works in, kept by the caller.  Empty, they start a fresh
+    search; a copy of a finished run's resumes it: each member of its
+    ``cut`` outside ``pool`` is queued as ``(v, _FREE)``, which runs only
+    the drop step, and the queue runs to the end.  Freeing, like a drop,
+    only adds edges and grows the ancestors of ``c``, so the result is a
+    fresh search's with ``pool`` and only the states it opens are expanded.
     """
     pred, anc, shut, cut = ({}, set(), set(), set()) if state is None else state
     # anc: ancestors of c once the outgoing edges of cut are gone;
