@@ -6,11 +6,9 @@ from .errors import (
     DuplicateNodeError,
     EmptyAdjustmentError,
     GraphError,
-    GraphTooLargeError,
     OverlappingSetsError,
     ParseError,
     PreconditionError,
-    RangeTooLargeError,
     SelfLoopError,
     UnknownNodeError,
 )
@@ -56,14 +54,12 @@ __all__ = [
     "EmptyAdjustmentError",
     "Estimand",
     "GraphError",
-    "GraphTooLargeError",
     "ListStats",
     "OverlappingSetsError",
     "ParseError",
     "PreconditionError",
     "Prob",
     "Product",
-    "RangeTooLargeError",
     "SelfLoopError",
     "Sum",
     "Sym",

@@ -4,11 +4,17 @@ Subcommands: ``find`` one adjustment set, ``list`` all of them (streamed),
 ``check`` a candidate set against the three front-door conditions, and
 ``estimand`` to print the adjustment formula.  Exit codes: 0 success with
 output, 1 valid query without a positive answer, 2 usage or input error.
+
+The argument parser is built on the first ``main`` call of a process and
+reused by every later one.  It holds no per-call state: ``parse_args``
+makes a fresh namespace each time, and help width and the output streams
+are looked up when help is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -153,6 +159,7 @@ def _add_common(sub, with_ir=False, with_z=False, with_format=True):
         sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frontdoor",

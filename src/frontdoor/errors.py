@@ -34,14 +34,6 @@ class PreconditionError(GraphError):
     """A query violates the documented argument constraints."""
 
 
-class GraphTooLargeError(GraphError):
-    """Brute-force reference code refused a graph it cannot handle."""
-
-
-class RangeTooLargeError(GraphError):
-    """Brute-force subset enumeration refused too wide an interval."""
-
-
 class EmptyAdjustmentError(GraphError):
     """The adjustment formula is undefined for an empty set."""
 

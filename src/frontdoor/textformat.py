@@ -1,10 +1,13 @@
 """Plain-text graph documents.
 
 One statement per line: ``node NAME`` declares a variable, ``A -> B`` a
-directed edge and ``A <-> B`` a bidirected edge.  ``#`` starts a comment.
+directed edge and ``A <-> B`` a bidirected edge.  Arrows need no spaces
+around them (``A->B``), and ``node -> A`` is an edge from a node named
+``node``.  ``#`` starts a comment that runs to the end of the line.
 Nodes may be declared implicitly by first use; repeating an edge is
-harmless.  ``parse_graph_text(render_graph_text(g))`` reproduces ``g``
-exactly, node order included.
+harmless.  ``parse_graph_file`` ignores a leading UTF-8 byte-order mark.
+``parse_graph_text(render_graph_text(g))`` reproduces ``g`` exactly,
+node order included.
 """
 
 from __future__ import annotations
@@ -14,14 +17,7 @@ import re
 from .errors import ParseError, SelfLoopError
 from .graph import ADMG, NAME_RE
 
-_NODE_STMT = re.compile(r"\s*node\s+(\S+)\s*$")
-_EDGE_STMT = re.compile(r"\s*(\S+?)\s*(<->|->)\s*(\S+?)\s*$")
-
-
-def _check_name(name: str, line_no: int, column: int) -> str:
-    if not NAME_RE.match(name):
-        raise ParseError(line_no, column, f"invalid node name {name!r}")
-    return name
+_STMT = re.compile(r"\s*(?:node\s+(\S+)|(\S+?)\s*(<->|->)\s*(\S+?))\s*$")
 
 
 def parse_graph_text(text: str) -> ADMG:
@@ -30,44 +26,44 @@ def parse_graph_text(text: str) -> ADMG:
     directed: set[tuple[int, int]] = set()
     bidirected: set[tuple[int, int]] = set()
 
-    def declare(name: str) -> int:
+    def declare(m: re.Match, group: int, line_no: int) -> int:
+        """The index of the name in ``group``.  A name is checked against
+        ``NAME_RE`` when first seen, and enters ``seen`` only if it passes."""
+        name = m.group(group)
         idx = seen.get(name)
         if idx is None:
-            idx = len(names)
-            seen[name] = idx
+            if not NAME_RE.match(name):
+                raise ParseError(line_no, m.start(group) + 1, f"invalid node name {name!r}")
+            idx = seen[name] = len(names)
             names.append(name)
         return idx
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
+        m = _STMT.match(line)
+        if m is None:
+            if not line.strip():
+                continue
+            column = len(line) - len(line.lstrip()) + 1
+            raise ParseError(
+                line_no, column,
+                "expected `node NAME`, `A -> B`, or `A <-> B`",
+            )
+        if m.group(1) is not None:
+            declare(m, 1, line_no)
             continue
-        m = _NODE_STMT.match(line)
-        if m:
-            declare(_check_name(m.group(1), line_no, m.start(1) + 1))
-            continue
-        m = _EDGE_STMT.match(line)
-        if m:
-            left = _check_name(m.group(1), line_no, m.start(1) + 1)
-            right = _check_name(m.group(3), line_no, m.start(3) + 1)
-            if left == right:
-                raise SelfLoopError(f"line {line_no}: self-loop on {left!r}")
-            u, v = declare(left), declare(right)
-            if m.group(2) == "->":
-                directed.add((u, v))
-            else:
-                bidirected.add((min(u, v), max(u, v)))
-            continue
-        column = len(line) - len(line.lstrip()) + 1
-        raise ParseError(
-            line_no, column,
-            "expected `node NAME`, `A -> B`, or `A <-> B`",
-        )
+        u, v = declare(m, 2, line_no), declare(m, 4, line_no)
+        if u == v:
+            raise SelfLoopError(f"line {line_no}: self-loop on {names[u]!r}")
+        if m.group(3) == "->":
+            directed.add((u, v))
+        else:
+            bidirected.add((min(u, v), max(u, v)))
     return ADMG(names, directed=sorted(directed), bidirected=sorted(bidirected))
 
 
 def parse_graph_file(path) -> ADMG:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_graph_text(fh.read())
 
 

@@ -14,10 +14,11 @@ import pathlib
 import random
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from frontdoor.oracle import enumerate_all_oracle, random_admg  # noqa: E402
 from frontdoor.textformat import render_graph_text  # noqa: E402
+from oracle import enumerate_all_oracle, random_admg  # noqa: E402
 
 COUNT = 200
 SEED_BASE = 20000

@@ -13,12 +13,21 @@ import random
 from itertools import combinations
 from typing import Iterable
 
-from .errors import GraphTooLargeError, RangeTooLargeError
-from .graph import ADMG, VarSet, build_graph
-from .separation import reachable
+from frontdoor.errors import GraphError
+from frontdoor.graph import ADMG, VarSet, build_graph
+from frontdoor.separation import reachable
 
 MAX_ORACLE_NODES = 12
 MAX_ORACLE_RANGE = 20
+
+
+class GraphTooLargeError(GraphError):
+    """Brute-force reference code refused a graph it cannot handle."""
+
+
+class RangeTooLargeError(GraphError):
+    """Brute-force subset enumeration refused too wide an interval."""
+
 
 _HEAD, _TAIL = 1, 0
 

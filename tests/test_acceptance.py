@@ -30,17 +30,17 @@ from frontdoor import (
 )
 from frontdoor.estimand import Prob, Product as ProductNode, Sum, Sym
 from frontdoor.listing import ListStats
-from frontdoor.oracle import (
+from frontdoor.search import find_blocking_extension
+from frontdoor.textformat import parse_graph_text
+
+from conftest import chain_family, ix
+from oracle import (
     SeparationTable,
     d_separated_oracle,
     directed_paths,
     enumerate_all_oracle,
     front_door_oracle,
 )
-from frontdoor.search import find_blocking_extension
-from frontdoor.textformat import parse_graph_text
-
-from conftest import chain_family, ix
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 CORPUS_SIZE = 200

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import frontdoor
 from frontdoor.cli import main
 
 INTRO_TEXT = """\
@@ -17,6 +22,8 @@ X <-> D
 """
 
 CANON_TEXT = "X -> Z\nZ -> Y\nX <-> Y\n"
+
+INTRO_SETS = "A,B,C\nA,B\nA,C\nA\n"
 
 
 @pytest.fixture
@@ -214,3 +221,52 @@ def test_default_pool_excludes_endpoints(intro_file, capsys):
     code, out, _ = run(capsys, "find", "-g", intro_file, "-x", "X", "-y", "Y",
                        "-r", "A,B,C,D")
     assert (code, out) == (0, "A,B,C\n")
+
+
+def test_graph_file_with_bom(tmp_path, capsys):
+    path = tmp_path / "bom.cg"
+    path.write_bytes(b"\xef\xbb\xbf" + CANON_TEXT.encode())
+    code, out, _ = run(capsys, "find", "-g", str(path), "-x", "X", "-y", "Y")
+    assert (code, out) == (0, "Z\n")
+
+
+def test_reused_parser_keeps_no_state(intro_file, capsys):
+    query = ("-g", intro_file, "-x", "X", "-y", "Y")
+    assert run(capsys, "list", *query, "--limit", "1")[:2] == (0, "A,B,C\n")
+    assert run(capsys, "list", *query)[:2] == (0, INTRO_SETS)
+    code, out, _ = run(capsys, "find", *query, "--format", "json")
+    assert (code, json.loads(out)) == (0, {"set": ["A", "B", "C"]})
+    assert run(capsys, "find", *query)[:2] == (0, "A,B,C\n")
+
+
+@pytest.mark.parametrize("argv, code, stream", [
+    (("list", "--limit", "1", "-x", "X", "--bogus"), 2, "err"),
+    (("list", "--format", "json", "-x", "X"), 2, "err"),
+    (("list", "--help"), 0, "out"),
+    (("--help",), 0, "out"),
+])
+def test_reused_parser_after_exit(intro_file, capsys, argv, code, stream):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert "usage: frontdoor" in {"out": out, "err": err}[stream]
+    query = ("-g", intro_file, "-x", "X", "-y", "Y")
+    assert run(capsys, "list", *query) == (0, INTRO_SETS, "")
+
+
+def test_module_entry_point_exit_codes(intro_file):
+    src = str(pathlib.Path(frontdoor.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    query = ("-g", intro_file, "-x", "X", "-y", "Y")
+
+    def call(*argv):
+        return subprocess.run([sys.executable, "-m", "frontdoor.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    found = call("find", *query)
+    assert (found.returncode, found.stdout) == (0, "A,B,C\n")
+    none = call("find", *query, "-i", "D")
+    assert (none.returncode, none.stdout) == (1, "none\n")
+    bad = call("find", *query, "--bogus")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert "unrecognized arguments: --bogus" in bad.stderr

@@ -111,5 +111,5 @@ def test_export_list():
     assert len(set(exported)) == len(exported)
     assert all(hasattr(frontdoor, name) for name in exported)
     removed = {"MoralGraph", "RemovedNodeError", "UnexpandedBidirectedError",
-               "observed_neighbors"}
+               "observed_neighbors", "GraphTooLargeError", "RangeTooLargeError"}
     assert not removed & set(exported)

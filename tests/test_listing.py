@@ -13,10 +13,10 @@ from frontdoor import (
 )
 from frontdoor import search
 from frontdoor.listing import ListStats
-from frontdoor.oracle import enumerate_all_oracle, random_admg
 from frontdoor.search import AdjustmentQuery, BlockingSearch, FrontDoorEngine
 
 from conftest import chain_family, ix
+from oracle import enumerate_all_oracle, random_admg
 from test_acceptance import _scaling_admg
 
 

@@ -15,9 +15,9 @@ import pytest
 nx = pytest.importorskip("networkx")
 
 from frontdoor import check_criterion, is_separated, second_condition_candidates
-from frontdoor.oracle import random_admg
 from frontdoor.separation import blocking_survivors, reachable
 
+from oracle import random_admg
 from test_acceptance import _scaling_admg
 
 

@@ -2,8 +2,12 @@ import random
 
 import pytest
 
-from frontdoor import GraphTooLargeError, RangeTooLargeError, build_graph
-from frontdoor.oracle import (
+from frontdoor import build_graph
+
+from conftest import chain_family, ix
+from oracle import (
+    GraphTooLargeError,
+    RangeTooLargeError,
     SeparationTable,
     d_separated_oracle,
     directed_paths,
@@ -12,8 +16,6 @@ from frontdoor.oracle import (
     random_admg,
     simple_paths,
 )
-
-from conftest import chain_family, ix
 
 
 def test_dsep_oracle_canonical(canon):

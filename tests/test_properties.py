@@ -5,7 +5,8 @@ from collections import defaultdict, deque
 from itertools import combinations
 
 from frontdoor import is_separated
-from frontdoor.oracle import d_separated_oracle, random_admg
+
+from oracle import d_separated_oracle, random_admg
 
 
 def _graphs(seed, count, max_nodes=6):

@@ -16,7 +16,11 @@ from frontdoor import (
     second_condition_candidates,
     third_condition_candidates,
 )
-from frontdoor.oracle import (
+from frontdoor.graph import ADMG
+from frontdoor.search import AdjustmentQuery, BlockingSearch, FrontDoorEngine
+
+from conftest import ix
+from oracle import (
     d_separated_oracle,
     directed_paths,
     enumerate_all_oracle,
@@ -24,10 +28,6 @@ from frontdoor.oracle import (
     random_admg,
     survivors_fixed_point,
 )
-from frontdoor.graph import ADMG
-from frontdoor.search import AdjustmentQuery, BlockingSearch, FrontDoorEngine
-
-from conftest import ix
 from test_acceptance import _scaling_admg
 
 

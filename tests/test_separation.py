@@ -13,11 +13,11 @@ from frontdoor import (
     proper_causal_path_nodes,
     second_condition_candidates,
 )
-from frontdoor.oracle import d_separated_oracle, directed_paths, random_admg, survivors_fixed_point
 from frontdoor.search import _reached
 from frontdoor.separation import _HEAD, _TAIL, _search, blocking_survivors
 
 from conftest import ix
+from oracle import d_separated_oracle, directed_paths, random_admg, survivors_fixed_point
 from test_acceptance import _scaling_admg
 
 

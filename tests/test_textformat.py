@@ -1,7 +1,12 @@
+import codecs
+import random
+import re
+
 import pytest
 
-from frontdoor import CyclicGraphError, ParseError, SelfLoopError
-from frontdoor.textformat import parse_graph_text, render_graph_text
+from frontdoor import ADMG, CyclicGraphError, GraphError, ParseError, SelfLoopError
+from frontdoor.graph import NAME_RE
+from frontdoor.textformat import parse_graph_file, parse_graph_text, render_graph_text
 
 
 def test_parse_canonical(canon):
@@ -57,3 +62,151 @@ def test_round_trip(canon, intro):
 def test_round_trip_isolated_nodes():
     g = parse_graph_text("node Only\nnode Other\n")
     assert parse_graph_text(render_graph_text(g)) == g
+
+
+def test_parse_arrows_need_no_spaces():
+    g = parse_graph_text("A->B\nA<->C\n")
+    assert g.names == ("A", "B", "C")
+    assert g.directed_edges == {(0, 1)}
+    assert g.bidirected_edges == {(0, 2)}
+
+
+def test_parse_node_keyword_as_edge_end():
+    g = parse_graph_text("node -> A\n")
+    assert g.names == ("node", "A")
+    assert g.directed_edges == {(0, 1)}
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    ("A -> 9b\n", 1, 6, "invalid node name '9b'"),
+    ("A- -> B\n", 1, 1, "invalid node name 'A-'"),
+    ("A -> B\n9x -> C\n9x -> D\n", 2, 1, "invalid node name '9x'"),
+    ("A -> B\nB -> 9x\n9x -> C\n", 2, 6, "invalid node name '9x'"),
+])
+def test_parse_invalid_name_position(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph_text(text)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
+def test_parse_self_loop_on_new_node():
+    with pytest.raises(SelfLoopError) as err:
+        parse_graph_text("A -> B\nC <-> C\n")
+    assert str(err.value) == "line 2: self-loop on 'C'"
+
+
+def test_parse_crlf_blank_and_comment_lines():
+    text = "# header\r\n\r\n  \t\r\nX -> Z\r\nZ -> Y  # mediated\r\n#\r\nX <-> Y\r\n"
+    g = parse_graph_text(text)
+    assert g == parse_graph_text("X -> Z\nZ -> Y\nX <-> Y\n")
+
+
+def test_parse_file_ignores_leading_bom(tmp_path):
+    text = b"node A\nA -> B\n"
+    plain, bom = tmp_path / "plain.cg", tmp_path / "bom.cg"
+    plain.write_bytes(text)
+    bom.write_bytes(codecs.BOM_UTF8 + text)
+    assert parse_graph_file(bom) == parse_graph_file(plain)
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"node A\n" + codecs.BOM_UTF8 + b"A -> B\n", 2),
+    (codecs.BOM_UTF8 * 2 + b"node A\n", 1),
+])
+def test_parse_file_bom_elsewhere_is_error(tmp_path, data, line):
+    path = tmp_path / "g.cg"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        parse_graph_file(path)
+    assert (err.value.line, err.value.column) == (line, 1)
+
+
+# The two-regex parser that the single statement regex replaced, kept as
+# the reference for the differential test below.
+_REF_NODE = re.compile(r"\s*node\s+(\S+)\s*$")
+_REF_EDGE = re.compile(r"\s*(\S+?)\s*(<->|->)\s*(\S+?)\s*$")
+
+
+def _check_name(name, line_no, column):
+    if not NAME_RE.match(name):
+        raise ParseError(line_no, column, f"invalid node name {name!r}")
+    return name
+
+
+def _reference_parse(text):
+    names, seen = [], {}
+    directed, bidirected = set(), set()
+
+    def declare(name):
+        idx = seen.get(name)
+        if idx is None:
+            idx = len(names)
+            seen[name] = idx
+            names.append(name)
+        return idx
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        m = _REF_NODE.match(line)
+        if m:
+            declare(_check_name(m.group(1), line_no, m.start(1) + 1))
+            continue
+        m = _REF_EDGE.match(line)
+        if m:
+            left = _check_name(m.group(1), line_no, m.start(1) + 1)
+            right = _check_name(m.group(3), line_no, m.start(3) + 1)
+            if left == right:
+                raise SelfLoopError(f"line {line_no}: self-loop on {left!r}")
+            u, v = declare(left), declare(right)
+            if m.group(2) == "->":
+                directed.add((u, v))
+            else:
+                bidirected.add((min(u, v), max(u, v)))
+            continue
+        column = len(line) - len(line.lstrip()) + 1
+        raise ParseError(
+            line_no, column,
+            "expected `node NAME`, `A -> B`, or `A <-> B`",
+        )
+    return ADMG(names, directed=sorted(directed), bidirected=sorted(bidirected))
+
+
+_NAMES = ("A", "B", "C", "D", "A", "B", "node", "9x", "A-")
+_ARROWS = ("->", "->", "->", "<->", "<->", "-", "<", ">")
+_PADS = ("", "", " ", " ", "  ", "\t")
+_ENDS = ("\n", "\n", "\r\n", "\r", "\x0c", "#", " # c\n")
+
+
+def _random_document(rng):
+    """One to four lines: mostly node and edge statements with random
+    names, arrows and padding, some loose token soup."""
+    lines = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.random()
+        if kind < 0.15:
+            parts = [rng.choice(_PADS), "node", rng.choice(_PADS), rng.choice(_NAMES)]
+        elif kind < 0.9:
+            parts = [rng.choice(_PADS), rng.choice(_NAMES), rng.choice(_PADS),
+                     rng.choice(_ARROWS), rng.choice(_PADS), rng.choice(_NAMES)]
+        else:
+            soup = _NAMES + _ARROWS + _PADS + _ENDS
+            parts = [rng.choice(soup) for _ in range(rng.randint(0, 4))]
+        lines.append("".join(parts) + rng.choice(_PADS) + rng.choice(_ENDS))
+    return "".join(lines)
+
+
+def _outcome(parse, text):
+    try:
+        g = parse(text)
+    except GraphError as exc:
+        return type(exc), str(exc)
+    return g.names, sorted(g.directed_edges), sorted(g.bidirected_edges)
+
+
+def test_parse_matches_reference_on_random_documents():
+    rng = random.Random(1301)
+    for _ in range(20000):
+        text = _random_document(rng)
+        assert _outcome(parse_graph_text, text) == _outcome(_reference_parse, text), repr(text)
