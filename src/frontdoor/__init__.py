@@ -1,7 +1,6 @@
 """Find and enumerate front-door adjustment sets in causal diagrams."""
 
 from .errors import (
-    AlreadyExpandedError,
     CyclicGraphError,
     DuplicateNodeError,
     EmptyAdjustmentError,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ADMG",
     "AdjustmentQuery",
-    "AlreadyExpandedError",
     "CriterionReport",
     "CyclicGraphError",
     "DuplicateNodeError",

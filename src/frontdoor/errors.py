@@ -21,11 +21,6 @@ class CyclicGraphError(GraphError):
     pass
 
 
-class AlreadyExpandedError(GraphError):
-    """Latent expansion applied to, or an adjustment query posed on, a
-    graph that already has latent nodes."""
-
-
 class OverlappingSetsError(GraphError):
     pass
 

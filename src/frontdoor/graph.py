@@ -1,14 +1,13 @@
 """Acyclic directed mixed graphs (ADMGs) and their standard transforms.
 
-An ADMG is a DAG over named variables plus bidirected edges marking latent
-confounding.  Nodes are dense integer indices assigned in declaration
-order; every algorithm in this package passes node subsets around as
-``frozenset`` objects of those indices (the ``VarSet`` alias).
+An ADMG is a DAG over named variables plus bidirected edges marking
+unobserved confounding.  Nodes are dense integer indices assigned in
+declaration order; every algorithm in this package passes node subsets
+around as ``frozenset`` objects of those indices (the ``VarSet`` alias).
 
-Derived graphs (``remove_outgoing`` and ``expand_latents``) keep the
-index space of the graph they came from, so a VarSet computed on one
-graph stays meaningful on its derivatives; latent expansion appends
-fresh indices.
+Derived graphs (``remove_outgoing`` here, ``causal_path_graph`` in
+:mod:`frontdoor.separation`) keep the index space of the graph they came
+from, so a VarSet computed on one graph stays meaningful on them.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from .errors import (
-    AlreadyExpandedError,
     CyclicGraphError,
     DuplicateNodeError,
     SelfLoopError,
@@ -36,20 +34,16 @@ class ADMG:
     """Immutable mixed graph: a DAG plus bidirected confounding edges.
 
     The constructor takes edges as index pairs; :func:`build_graph` is the
-    friendlier name-based entry point.  ``latent`` flags mark synthesized
-    confounder nodes, which exist only in graphs produced by
-    :meth:`expand_latents`.
+    friendlier name-based entry point.
     """
 
-    __slots__ = ("names", "nodes", "latent", "_index", "_parents", "_children",
-                 "_spouses")
+    __slots__ = ("names", "nodes", "_index", "_parents", "_children", "_spouses")
 
     def __init__(
         self,
         names: Sequence[str],
         directed: Iterable[tuple[int, int]] = (),
         bidirected: Iterable[tuple[int, int]] = (),
-        latent: Sequence[bool] | None = None,
     ):
         names = tuple(names)
         index: dict[str, int] = {}
@@ -79,9 +73,6 @@ class ADMG:
             spouses[v].add(u)
         self.names = names
         self.nodes = frozenset(range(n))
-        self.latent = tuple(latent) if latent is not None else (False,) * n
-        if len(self.latent) != n:
-            raise ValueError("latent flag list does not match node count")
         self._index = index
         self._parents = tuple(frozenset(s) for s in parents)
         self._children = tuple(frozenset(s) for s in children)
@@ -108,12 +99,11 @@ class ADMG:
             raise CyclicGraphError("directed part contains a cycle")
 
     @classmethod
-    def _from_rows(cls, names, nodes, latent, parents, children, spouses) -> "ADMG":
+    def _from_rows(cls, names, nodes, parents, children, spouses) -> "ADMG":
         """Unvalidated constructor for transforms that preserve the invariants."""
         g = object.__new__(cls)
         g.names = names
         g.nodes = nodes
-        g.latent = latent
         g._index = None
         g._parents = parents
         g._children = children
@@ -125,10 +115,6 @@ class ADMG:
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-    @property
-    def observed_nodes(self) -> VarSet:
-        return frozenset(v for v in self.nodes if not self.latent[v])
 
     def index_of(self, name: str) -> int:
         if self._index is None:
@@ -207,43 +193,12 @@ class ADMG:
                 parents[c] = parents[c] - {v}
             children[v] = EMPTY
         return ADMG._from_rows(
-            self.names, self.nodes, self.latent,
-            tuple(parents), tuple(children), self._spouses,
+            self.names, self.nodes, tuple(parents), tuple(children), self._spouses,
         )
 
-    def expand_latents(self) -> "ADMG":
-        """Replace each bidirected pair with a fresh latent parent of both
-        endpoints.  The observed subgraph is unchanged."""
-        if any(self.latent):
-            raise AlreadyExpandedError("graph already contains latent nodes")
-        pairs = sorted(self.bidirected_edges)
-        if not pairs:
-            return self
-        names = list(self.names)
-        used = set(names)
-        parents = list(self._parents)
-        children = list(self._children)
-        spouses = [EMPTY] * len(names)
-        nodes = set(self.nodes)
-        latent = list(self.latent)
-        for u, v in pairs:
-            name = f"L_{self.names[u]}_{self.names[v]}"
-            while name in used:
-                name += "_"
-            used.add(name)
-            idx = len(names)
-            names.append(name)
-            nodes.add(idx)
-            latent.append(True)
-            parents.append(EMPTY)
-            children.append(frozenset((u, v)))
-            spouses.append(EMPTY)
-            parents[u] = parents[u] | {idx}
-            parents[v] = parents[v] | {idx}
-        return ADMG._from_rows(
-            tuple(names), frozenset(nodes), tuple(latent),
-            tuple(parents), tuple(children), tuple(spouses),
-        )
+    def expand_latents(self, *args):
+        """Not implemented; the name is kept only because bench/tracing.py wraps it."""
+        raise NotImplementedError("latent expansion was removed from frontdoor")
 
     def moral_after_cut(self, *args):
         """Not implemented; the name is kept only because bench/tracing.py wraps it."""
@@ -257,7 +212,6 @@ class ADMG:
         return (
             self.names == other.names
             and self.nodes == other.nodes
-            and self.latent == other.latent
             and self._parents == other._parents
             and self._spouses == other._spouses
         )

@@ -9,11 +9,11 @@ edges cut.  Stage 1 keeps the members of ``r`` with no open back-door
 path from ``x``: those outside that search from ``x`` with an empty
 pool (computed once for the root).  A pool that misses some causal
 path is rejected at once: interception is monotone, so no subset can hit
-that path.  Stage 2 (:class:`BlockingSearch`) shrinks the pool to the
-largest subset meeting the third condition, with the search from ``y``
-given ``x`` over that pool, which drops the members it reaches as it
-goes (:func:`~frontdoor.separation.blocking_survivors`), and that subset
-is the answer iff it intercepts every causal path.
+that path.  Stage 2 (:func:`~frontdoor.separation.blocking_survivors`)
+shrinks the pool to the largest subset meeting the third condition, with
+the search from ``y`` given ``x`` over that pool, which drops the members
+it reaches as it goes, and that subset is the answer iff it intercepts
+every causal path.
 
 Interception is a walk in the query graph itself: a directed walk from
 ``x`` to ``y`` avoiding ``z`` exists exactly when a proper causal path
@@ -33,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import AlreadyExpandedError, OverlappingSetsError, PreconditionError
+from .errors import OverlappingSetsError, PreconditionError
 from .graph import ADMG, VarSet
 from .separation import (
     blocking_survivors,
@@ -52,10 +52,9 @@ class AdjustmentQuery:
     """A validated (graph, x, y, i, r) problem instance.
 
     ``i`` collects variables the answer must include, ``r`` the variables
-    it may include.  ``r`` defaults to every observed variable outside
-    ``x`` and ``y``.  Each set may be given as any iterable of indices and
-    is stored as a frozenset.  A latent-expanded graph is rejected with
-    :class:`AlreadyExpandedError`: queries take bidirected edges.
+    it may include.  ``r`` defaults to every variable outside ``x`` and
+    ``y``.  Each set may be given as any iterable of indices and is stored
+    as a frozenset.
     """
 
     graph: ADMG
@@ -66,12 +65,10 @@ class AdjustmentQuery:
 
     def __post_init__(self):
         g = self.graph
-        if any(g.latent):
-            raise AlreadyExpandedError("query the graph before latent expansion")
         x = g.check_vars(self.x)
         y = g.check_vars(self.y)
         i = g.check_vars(self.i)
-        r = g.observed_nodes - x - y if self.r is None else g.check_vars(self.r)
+        r = g.nodes - x - y if self.r is None else g.check_vars(self.r)
         if not x or not y:
             raise PreconditionError("x and y must be nonempty")
         if x & y:
@@ -199,51 +196,50 @@ def observed_neighbors(*args):
 
 
 class BlockingSearch:
-    """Stage 2 bound to one ``(graph, x, y)`` query.
+    """Not implemented; the name and its two methods are kept only because
+    bench/tracing.py wraps them."""
+
+    def prepare(self, *args):
+        raise NotImplementedError("stage 2 runs blocking_survivors directly")
+
+    def extension(self, *args):
+        raise NotImplementedError("stage 2 runs blocking_survivors directly")
+
+
+def _stage2_sets(g: ADMG, x, y, t, pool) -> tuple[VarSet, VarSet, VarSet, VarSet]:
+    """``x``, ``y``, a seed set ``t`` and ``pool`` as frozensets, checked
+    as stage 2 needs them: nodes of ``g``, ``x`` and ``y`` nonempty and
+    disjoint, and a pool clear of both."""
+    x, y, t, pool = (g.check_vars(s) for s in (x, y, t, pool))
+    if not x or not y:
+        raise PreconditionError("x and y must be nonempty")
+    if x & y:
+        raise PreconditionError("x and y must be disjoint")
+    if pool & (x | y):
+        raise PreconditionError("the pool may not overlap x or y")
+    return x, y, t, pool
+
+
+def third_condition_candidates(
+    g: ADMG, x: VarSet, y: VarSet, i: VarSet, pool: VarSet
+) -> VarSet | None:
+    """Members of ``pool`` that some set within ``[i, pool]`` containing
+    them can satisfy the third condition with; None when a member of
+    ``i`` cannot be accommodated.
 
     A set ``z`` meets the third condition when no member of ``z`` is
     d-connected to ``y`` given ``x`` once the outgoing edges of ``z`` are
     cut.  Cutting more edges never opens a path (it removes edges and
     shrinks the ancestors of ``x``), so every set meeting the condition
-    inside a pool survives :meth:`survivors`, which drops the members
-    connected to ``y`` until none is; what remains is the largest such
-    set within the pool.  It does so in linear time, in one run of the
-    Bayes-ball search of :mod:`frontdoor.separation` with the pool.
+    inside a pool survives :func:`~frontdoor.separation.blocking_survivors`,
+    which drops the members connected to ``y`` until none is; what
+    remains is the largest such set within the pool.  It does so in
+    linear time, in one run of the Bayes-ball search of
+    :mod:`frontdoor.separation` with the pool.
     """
-
-    def __init__(self, g: ADMG, x: VarSet, y: VarSet):
-        if x & y:
-            raise PreconditionError("x and y must be disjoint")
-        self.g = g
-        self.x = x
-        self.y = y
-
-    def prepare(self, t: VarSet) -> None:
-        """Does nothing; kept only because bench/tracing.py wraps it."""
-
-    def survivors(self, pool: VarSet, state=None) -> VarSet:
-        """The largest subset of ``pool`` meeting the third condition: the
-        members that some set within ``pool`` containing them meets it
-        with.  ``state`` is the search's, as in ``blocking_survivors``."""
-        if pool & (self.x | self.y):
-            raise PreconditionError("the pool may not overlap x or y")
-        return blocking_survivors(self.g, self.x, self.y, pool, state)
-
-    def extension(self, t: VarSet, pool: VarSet) -> VarSet | None:
-        """An inclusion-minimal set of helpers from ``pool`` with which
-        ``t`` meets the third condition, or None when no superset of ``t``
-        inside ``pool`` does; see :func:`find_blocking_extension`."""
-        if not t <= pool:
-            raise PreconditionError("t must be a subset of the candidate pool")
-        kept = self.survivors(pool)
-        if not t <= kept:
-            return None
-        for h in sorted(kept - t):
-            if h in kept:
-                trial = self.survivors(kept - {h})
-                if t <= trial:
-                    kept = trial
-        return kept - t
+    x, y, i, pool = _stage2_sets(g, x, y, i, pool)
+    kept = blocking_survivors(g, x, y, pool)
+    return kept if i <= kept else None
 
 
 def find_blocking_extension(
@@ -255,22 +251,22 @@ def find_blocking_extension(
     The helpers are inclusion-minimal: without any one of them, no set
     inside ``t`` and the others that contains ``t`` meets the condition.
     They are found by starting from the largest such set within ``pool``
-    and trying the helpers in index order, dropping each one whose
-    removal still leaves a set meeting the condition around ``t`` and
-    shrinking to that set.
+    (see :func:`third_condition_candidates`) and trying the helpers in
+    index order, dropping each one whose removal still leaves a set
+    meeting the condition around ``t`` and shrinking to that set.
     """
-    return BlockingSearch(g, x, y).extension(frozenset(t), frozenset(pool))
-
-
-def third_condition_candidates(
-    g: ADMG, x: VarSet, y: VarSet, i: VarSet, pool: VarSet
-) -> VarSet | None:
-    """Members of ``pool`` that some set within ``[i, pool]`` containing
-    them can satisfy the third condition with; None when a member of
-    ``i`` cannot be accommodated."""
-    i = g.check_vars(i)
-    kept = BlockingSearch(g, x, y).survivors(frozenset(pool))
-    return kept if i <= kept else None
+    x, y, t, pool = _stage2_sets(g, x, y, t, pool)
+    if not t <= pool:
+        raise PreconditionError("t must be a subset of the candidate pool")
+    kept = blocking_survivors(g, x, y, pool)
+    if not t <= kept:
+        return None
+    for h in sorted(kept - t):
+        if h in kept:
+            trial = blocking_survivors(g, x, y, kept - {h})
+            if t <= trial:
+                kept = trial
+    return kept - t
 
 
 class Check:
@@ -287,10 +283,11 @@ class FrontDoorEngine:
     """Feasibility checks for one validated query, shared by ``find`` and
     ``list``.
 
-    Binds the graph, ``x`` and ``y``, the stage-1 pool of the query's
-    ``r`` and one :class:`BlockingSearch`.  It keeps no answers between
-    checks, so its memory does not grow with the number of checks a
-    listing makes.
+    Binds the graph, ``x`` and ``y`` and the stage-1 pool of the query's
+    ``r``; each check's stage 2 is one run of
+    :func:`~frontdoor.separation.blocking_survivors`.  It keeps no answers
+    between checks, so its memory does not grow with the number of checks
+    a listing makes.
 
     A check on a parent check's set less one member resumes the parent's
     search from a copy of its state with the member freed and grows
@@ -303,7 +300,6 @@ class FrontDoorEngine:
         self.x = query.x
         self.y = query.y
         self.pool = second_condition_candidates(g, query.x, EMPTY, query.r)
-        self.blocking = BlockingSearch(g, query.x, query.y)
 
     def forward(self, z: VarSet, parent: Check | None = None) -> dict[int, int | None]:
         """The nodes of the graph reached from ``x`` along directed edges
@@ -366,7 +362,7 @@ class FrontDoorEngine:
         else:
             pred, anc, shut, cut = parent.state
             state = (pred.copy(), anc.copy(), shut.copy(), cut.copy())
-        survivors = self.blocking.survivors(pool, state)
+        survivors = blocking_survivors(self.g, self.x, self.y, pool, state)
         if not i <= survivors:
             return None
         # an unshrunk root pool was just seen to intercept every causal path

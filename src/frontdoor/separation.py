@@ -236,4 +236,4 @@ def causal_path_graph(g: ADMG, x: Iterable[int], y: Iterable[int]) -> ADMG:
     n = len(g.names)
     parents = tuple(g.parents_of(v) & tails if v in heads else EMPTY for v in range(n))
     children = tuple(g.children_of(v) & heads if v in tails else EMPTY for v in range(n))
-    return ADMG._from_rows(g.names, keep, g.latent, parents, children, (EMPTY,) * n)
+    return ADMG._from_rows(g.names, keep, parents, children, (EMPTY,) * n)

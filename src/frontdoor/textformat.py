@@ -70,8 +70,6 @@ def parse_graph_file(path) -> ADMG:
 def render_graph_text(g: ADMG) -> str:
     """Canonical text form: explicit node declarations in index order,
     then directed edges, then bidirected edges."""
-    if any(g.latent):
-        raise ValueError("latent-expanded graphs have no text form")
     lines = [f"node {g.names[v]}" for v in sorted(g.nodes)]
     lines += [f"{g.names[u]} -> {g.names[v]}" for u, v in sorted(g.directed_edges)]
     lines += [f"{g.names[u]} <-> {g.names[v]}" for u, v in sorted(g.bidirected_edges)]

@@ -2,7 +2,6 @@ import pytest
 
 import frontdoor
 from frontdoor import (
-    AlreadyExpandedError,
     CyclicGraphError,
     DuplicateNodeError,
     SelfLoopError,
@@ -18,7 +17,6 @@ def test_build_canonical(canon):
     assert canon.nodes == frozenset({0, 1, 2})
     assert canon.directed_edges == {(0, 1), (1, 2)}
     assert canon.bidirected_edges == {(0, 2)}
-    assert not any(canon.latent)
 
 
 def test_build_single_node():
@@ -80,25 +78,6 @@ def test_transforms_idempotent(canon, intro):
             assert g.remove_outgoing(s).remove_outgoing(s) == g.remove_outgoing(s)
 
 
-def test_expand_latents(canon, intro):
-    g = canon.expand_latents()
-    assert len(g.nodes) == 4
-    assert g.bidirected_edges == frozenset()
-    lat = next(v for v in g.nodes if g.latent[v])
-    assert g.children_of(lat) == ix(canon, "X,Y")
-    assert g.parents_of(lat) == frozenset()
-    # observed part untouched
-    assert g.directed_edges - {(lat, 0), (lat, 2)} == canon.directed_edges
-
-    assert sum(intro.expand_latents().latent) == 2  # one latent per pair
-
-    plain = build_graph(["A", "B"], [("A", "B")])
-    assert plain.expand_latents() == plain
-
-    with pytest.raises(AlreadyExpandedError):
-        g.expand_latents()
-
-
 def test_name_round_trips(intro):
     assert intro.index_of("C") == 3
     assert intro.names_of(ix(intro, "D,A")) == ["A", "D"]
@@ -111,5 +90,6 @@ def test_export_list():
     assert len(set(exported)) == len(exported)
     assert all(hasattr(frontdoor, name) for name in exported)
     removed = {"MoralGraph", "RemovedNodeError", "UnexpandedBidirectedError",
-               "observed_neighbors", "GraphTooLargeError", "RangeTooLargeError"}
+               "observed_neighbors", "GraphTooLargeError", "RangeTooLargeError",
+               "AlreadyExpandedError"}
     assert not removed & set(exported)

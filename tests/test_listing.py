@@ -13,7 +13,7 @@ from frontdoor import (
 )
 from frontdoor import search
 from frontdoor.listing import ListStats
-from frontdoor.search import AdjustmentQuery, BlockingSearch, FrontDoorEngine
+from frontdoor.search import AdjustmentQuery, FrontDoorEngine
 
 from conftest import chain_family, ix
 from oracle import enumerate_all_oracle, random_admg
@@ -122,13 +122,13 @@ def test_first_set_costs_one_stage2_pass(monkeypatch):
     # chain_family(5) the root check is the stream's only fresh stage-2
     # search: each of the other 242 checks resumes its parent's.
     passes = []
-    survivors = BlockingSearch.survivors
+    survivors = search.blocking_survivors
 
-    def counted(self, pool, state=None):
+    def counted(g, x, y, pool, state=None):
         passes.append((pool, bool(state[0])))  # a resumed state holds a run
-        return survivors(self, pool, state)
+        return survivors(g, x, y, pool, state)
 
-    monkeypatch.setattr(BlockingSearch, "survivors", counted)
+    monkeypatch.setattr(search, "blocking_survivors", counted)
     g = build_graph(["W", "X", "M", "Y"], [("X", "M"), ("M", "Y")],
                     [("X", "Y"), ("W", "Y")])
     got = list(list_adjustment_sets(g, ix(g, "X"), ix(g, "Y"), limit=1))

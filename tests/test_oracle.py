@@ -50,7 +50,7 @@ def test_enumerate_intro_family(intro):
 def test_enumerate_two_chain_count():
     g = chain_family(2)
     fam = enumerate_all_oracle(g, ix(g, "X"), ix(g, "Y"), frozenset(),
-                               g.observed_nodes - ix(g, "X,Y"))
+                               g.nodes - ix(g, "X,Y"))
     assert len(fam) == 9
 
 

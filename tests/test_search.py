@@ -3,7 +3,6 @@ import random
 import pytest
 
 from frontdoor import (
-    AlreadyExpandedError,
     OverlappingSetsError,
     PreconditionError,
     UnknownNodeError,
@@ -17,7 +16,8 @@ from frontdoor import (
     third_condition_candidates,
 )
 from frontdoor.graph import ADMG
-from frontdoor.search import AdjustmentQuery, BlockingSearch, FrontDoorEngine
+from frontdoor.search import AdjustmentQuery, FrontDoorEngine
+from frontdoor.separation import blocking_survivors
 
 from conftest import ix
 from oracle import (
@@ -189,10 +189,10 @@ def test_find_rejects_before_stage2(monkeypatch):
     g = build_graph(["X", "M", "W", "Y"],
                     [("X", "M"), ("M", "Y"), ("X", "W")], [("X", "M")])
 
-    def no_stage2(self, pool):
+    def no_stage2(*args):
         raise AssertionError("stage 2 ran")
 
-    monkeypatch.setattr(BlockingSearch, "survivors", no_stage2)
+    monkeypatch.setattr("frontdoor.search.blocking_survivors", no_stage2)
     assert second_condition_candidates(g, ix(g, "X"), frozenset(), ix(g, "M,W")) == ix(g, "W")
     assert find_adjustment_set(g, ix(g, "X"), ix(g, "Y")) is None
 
@@ -212,20 +212,24 @@ def test_find_rejects_before_stage2(monkeypatch):
      PreconditionError),
     (lambda g, x, y: third_condition_candidates(g, x, x | y, frozenset(), ix(g, "A")),
      PreconditionError),
-    (lambda g, x, y: find_adjustment_set(g.expand_latents(), x, y),
-     AlreadyExpandedError),
-    (lambda g, x, y: list(list_adjustment_sets(g.expand_latents(), x, y)),
-     AlreadyExpandedError),
     (lambda g, x, y: second_condition_candidates(g, x, frozenset({99}), ix(g, "A,B,C")),
      UnknownNodeError),
     (lambda g, x, y: second_condition_candidates(g, x, ix(g, "D"), ix(g, "A,B,C")),
      PreconditionError),
     (lambda g, x, y: third_condition_candidates(g, x, y, frozenset({99}), ix(g, "A,B,C")),
      UnknownNodeError),
+    (lambda g, x, y: third_condition_candidates(g, x, y, frozenset(), frozenset({99})),
+     UnknownNodeError),
+    (lambda g, x, y: third_condition_candidates(g, frozenset({99}), y, frozenset(), ix(g, "A")),
+     UnknownNodeError),
+    (lambda g, x, y: third_condition_candidates(g, x, frozenset(), frozenset(), ix(g, "A")),
+     PreconditionError),
+    (lambda g, x, y: find_blocking_extension(g, x, y, frozenset(), frozenset({99})),
+     UnknownNodeError),
 ], ids=["stage1-empty-x", "stage1-r-meets-x", "stage1-unknown-r", "stage1-unknown-x",
         "stage2-pool-meets-x", "stage2-pool-meets-y", "stage2-x-meets-y",
-        "find-expanded", "list-expanded", "stage1-unknown-i", "stage1-i-outside-r",
-        "stage2-unknown-i"])
+        "stage1-unknown-i", "stage1-i-outside-r", "stage2-unknown-i",
+        "stage2-unknown-pool", "stage2-unknown-x", "stage2-empty-y", "ext-unknown-pool"])
 def test_stage_input_errors(intro, call, error):
     with pytest.raises(error):
         call(intro, ix(intro, "X"), ix(intro, "Y"))
@@ -459,11 +463,10 @@ def test_survivors_match_fixed_point_reference():
         xv, yv = rng.sample(sorted(g.nodes), 2)
         x, y = frozenset({xv}), frozenset({yv})
         rest = g.nodes - x - y
-        search = BlockingSearch(g, x, y)
         for pool in (frozenset(v for v in rest if rng.random() < 0.5),
                      second_condition_candidates(g, x, frozenset(), rest),
                      rest):
-            got = search.survivors(pool)
+            got = blocking_survivors(g, x, y, pool)
             assert got == survivors_fixed_point(g, x, y, pool)
             shrunk += got != pool
     assert shrunk > 300
@@ -473,11 +476,11 @@ def test_survivors_match_fixed_point_reference():
             for xv in (0, 1):
                 x, y = frozenset({xv}), frozenset({3 * n // 4})
                 pool = second_condition_candidates(g, x, frozenset(), g.nodes - x - y)
-                got = BlockingSearch(g, x, y).survivors(pool)
+                got = blocking_survivors(g, x, y, pool)
                 assert got == survivors_fixed_point(g, x, y, pool)
     g, x, y = _cascade(30)
     pool = g.nodes - x - y
-    assert BlockingSearch(g, x, y).survivors(pool) == survivors_fixed_point(g, x, y, pool)
+    assert blocking_survivors(g, x, y, pool) == survivors_fixed_point(g, x, y, pool)
 
 
 def test_cascade_stage2_copies_no_graph(monkeypatch):
@@ -494,7 +497,7 @@ def test_cascade_stage2_copies_no_graph(monkeypatch):
         return remove_outgoing(self, vs)
 
     monkeypatch.setattr(ADMG, "remove_outgoing", counted)
-    assert BlockingSearch(g, x, y).survivors(pool) == want
+    assert blocking_survivors(g, x, y, pool) == want
     assert copies == []
 
 

@@ -13,6 +13,7 @@ from frontdoor import (
     proper_causal_path_nodes,
     second_condition_candidates,
 )
+from frontdoor.graph import ADMG
 from frontdoor.search import _reached
 from frontdoor.separation import _HEAD, _TAIL, _search, blocking_survivors
 
@@ -162,13 +163,24 @@ def test_symmetry():
         assert is_separated(g, a, b, c) == is_separated(g, b, a, c)
 
 
+def _expanded(g):
+    """The DAG of ``g`` with each bidirected pair replaced by a fresh
+    parent of both endpoints, numbered after ``g``'s own nodes."""
+    pairs = sorted(g.bidirected_edges)
+    latents = [f"L{k}" for k in range(len(pairs))]  # random_admg names are letters
+    directed = set(g.directed_edges)
+    for k, (u, v) in enumerate(pairs, start=len(g.names)):
+        directed |= {(k, u), (k, v)}
+    return ADMG([*g.names, *latents], directed)
+
+
 def test_latent_expansion_preserves_separation():
     rng = random.Random(5151)
     for _ in range(80):
         g = random_admg(rng, rng.randint(3, 6), rng.choice((0.2, 0.4)))
         if not g.bidirected_edges:
             continue
-        expanded = g.expand_latents()
+        expanded = _expanded(g)
         nodes = sorted(g.nodes)
         for _ in range(15):
             a = frozenset(v for v in nodes if rng.random() < 0.3)
