@@ -35,14 +35,14 @@ def _load_graph(path: str) -> ADMG:
         g = parse_graph_file(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read graph file: {exc}") from exc
-    lowered: dict[str, str] = {}
-    for name in g.names:
-        clash = lowered.get(name.lower())
-        if clash is not None:
-            raise _UsageError(
-                f"node names {clash!r} and {name!r} collide after lowercasing"
-            )
-        lowered[name.lower()] = name
+    if len({name.lower() for name in g.names}) < len(g.names):
+        lowered: dict[str, str] = {}
+        for name in g.names:  # names are unique: report the first clash
+            clash = lowered.setdefault(name.lower(), name)
+            if clash != name:
+                raise _UsageError(
+                    f"node names {clash!r} and {name!r} collide after lowercasing"
+                )
     return g
 
 

@@ -5,6 +5,13 @@ unobserved confounding.  Nodes are dense integer indices assigned in
 declaration order; every algorithm in this package passes node subsets
 around as ``frozenset`` objects of those indices (the ``VarSet`` alias).
 
+A graph is built in one of two ways: ``ADMG(...)`` (and
+:func:`build_graph` on top of it) checks every name and index pair it is
+given, and :func:`frontdoor.textformat.parse_graph_text` checks each name
+once as it reads it and fills the adjacency rows itself.  Both end in one
+finisher, ``ADMG._finish``, which freezes the rows and checks that the
+directed part is acyclic.
+
 Derived graphs (``remove_outgoing`` here, ``causal_path_graph`` in
 :mod:`frontdoor.separation`) keep the index space of the graph they came
 from, so a VarSet computed on one graph stays meaningful on them.
@@ -13,7 +20,6 @@ from, so a VarSet computed on one graph stays meaningful on them.
 from __future__ import annotations
 
 import re
-from collections import deque
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -34,7 +40,9 @@ class ADMG:
     """Immutable mixed graph: a DAG plus bidirected confounding edges.
 
     The constructor takes edges as index pairs; :func:`build_graph` is the
-    friendlier name-based entry point.
+    friendlier name-based entry point.  The constructor and the text
+    parser both end in ``_finish``, which freezes the rows and checks
+    acyclicity; the transforms build through the unchecked ``_from_rows``.
     """
 
     __slots__ = ("names", "nodes", "_index", "_parents", "_children", "_spouses")
@@ -71,32 +79,37 @@ class ADMG:
                 raise SelfLoopError(f"bidirected self-loop on {names[u]!r}")
             spouses[u].add(v)
             spouses[v].add(u)
-        self.names = names
-        self.nodes = frozenset(range(n))
-        self._index = index
-        self._parents = tuple(frozenset(s) for s in parents)
-        self._children = tuple(frozenset(s) for s in children)
-        self._spouses = tuple(frozenset(s) for s in spouses)
-        self._check_acyclic()
+        self._finish(names, index, parents, children, spouses)
 
     @staticmethod
     def _check_index(v, n):
         if not isinstance(v, int) or not 0 <= v < n:
             raise UnknownNodeError(f"node index {v!r} out of range")
 
-    def _check_acyclic(self):
-        indeg = {v: len(self._parents[v] & self.nodes) for v in self.nodes}
-        queue = deque(v for v in self.nodes if indeg[v] == 0)
+    def _finish(self, names, index, parents, children, spouses) -> "ADMG":
+        """The last step of both ways of building a graph, ``__init__`` and
+        :func:`frontdoor.textformat.parse_graph_text`: freeze the checked
+        rows (lists of sets over ``range(len(names))``), keep ``index``
+        (name to position) and check that the directed part is acyclic."""
+        n = len(names)
+        self.names = names
+        self.nodes = frozenset(range(n))
+        self._index = index
+        self._parents = tuple(map(frozenset, parents))
+        self._children = tuple(map(frozenset, children))
+        self._spouses = tuple(map(frozenset, spouses))
+        indeg = [len(p) for p in parents]
+        stack = [v for v in range(n) if not indeg[v]]
         seen = 0
-        while queue:
-            v = queue.popleft()
+        while stack:
             seen += 1
-            for c in self._children[v]:
+            for c in children[stack.pop()]:
                 indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        if seen != len(self.nodes):
+                if not indeg[c]:
+                    stack.append(c)
+        if seen != n:
             raise CyclicGraphError("directed part contains a cycle")
+        return self
 
     @classmethod
     def _from_rows(cls, names, nodes, parents, children, spouses) -> "ADMG":

@@ -6,15 +6,24 @@ around them (``A->B``), and ``node -> A`` is an edge from a node named
 ``node``.  ``#`` starts a comment that runs to the end of the line.
 Nodes may be declared implicitly by first use; repeating an edge is
 harmless.  ``parse_graph_file`` ignores a leading UTF-8 byte-order mark.
+
+A parse is one pass: each statement is matched once and fills the
+graph's parent, child and spouse rows as it is read, and each name is
+checked against ``NAME_RE`` once, when it is first seen.  The rows then
+go to the same finisher that ends ``ADMG(...)`` (it freezes them and
+checks acyclicity), so a parsed graph is not validated a second time.
+
 ``parse_graph_text(render_graph_text(g))`` reproduces ``g`` exactly,
-node order included.
+node order included, for every graph whose nodes are all the indices of
+its names: every parsed or built graph, and ``remove_outgoing`` of one.
+``render_graph_text`` refuses a derived graph that keeps fewer nodes.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import ParseError, SelfLoopError
+from .errors import ParseError, PreconditionError, SelfLoopError
 from .graph import ADMG, NAME_RE
 
 _STMT = re.compile(r"\s*(?:node\s+(\S+)|(\S+?)\s*(<->|->)\s*(\S+?))\s*$")
@@ -23,24 +32,27 @@ _STMT = re.compile(r"\s*(?:node\s+(\S+)|(\S+?)\s*(<->|->)\s*(\S+?))\s*$")
 def parse_graph_text(text: str) -> ADMG:
     names: list[str] = []
     seen: dict[str, int] = {}
-    directed: set[tuple[int, int]] = set()
-    bidirected: set[tuple[int, int]] = set()
+    parents: list[set[int]] = []
+    children: list[set[int]] = []
+    spouses: list[set[int]] = []
 
     def declare(m: re.Match, group: int, line_no: int) -> int:
-        """The index of the name in ``group``.  A name is checked against
-        ``NAME_RE`` when first seen, and enters ``seen`` only if it passes."""
+        """Index a name not seen before, after checking it against
+        ``NAME_RE``; it enters ``seen`` only if it passes."""
         name = m.group(group)
-        idx = seen.get(name)
-        if idx is None:
-            if not NAME_RE.match(name):
-                raise ParseError(line_no, m.start(group) + 1, f"invalid node name {name!r}")
-            idx = seen[name] = len(names)
-            names.append(name)
+        if not NAME_RE.match(name):
+            raise ParseError(line_no, m.start(group) + 1, f"invalid node name {name!r}")
+        idx = seen[name] = len(names)
+        names.append(name)
+        parents.append(set())
+        children.append(set())
+        spouses.append(set())
         return idx
 
+    match = _STMT.match
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        m = _STMT.match(line)
+        m = match(line)
         if m is None:
             if not line.strip():
                 continue
@@ -49,17 +61,26 @@ def parse_graph_text(text: str) -> ADMG:
                 line_no, column,
                 "expected `node NAME`, `A -> B`, or `A <-> B`",
             )
-        if m.group(1) is not None:
-            declare(m, 1, line_no)
+        name, left, arrow, right = m.groups()
+        if name is not None:
+            if name not in seen:
+                declare(m, 1, line_no)
             continue
-        u, v = declare(m, 2, line_no), declare(m, 4, line_no)
+        u = seen.get(left)
+        if u is None:
+            u = declare(m, 2, line_no)
+        v = seen.get(right)
+        if v is None:
+            v = declare(m, 4, line_no)
         if u == v:
             raise SelfLoopError(f"line {line_no}: self-loop on {names[u]!r}")
-        if m.group(3) == "->":
-            directed.add((u, v))
+        if arrow == "->":
+            parents[v].add(u)
+            children[u].add(v)
         else:
-            bidirected.add((min(u, v), max(u, v)))
-    return ADMG(names, directed=sorted(directed), bidirected=sorted(bidirected))
+            spouses[u].add(v)
+            spouses[v].add(u)
+    return ADMG.__new__(ADMG)._finish(tuple(names), seen, parents, children, spouses)
 
 
 def parse_graph_file(path) -> ADMG:
@@ -69,7 +90,15 @@ def parse_graph_file(path) -> ADMG:
 
 def render_graph_text(g: ADMG) -> str:
     """Canonical text form: explicit node declarations in index order,
-    then directed edges, then bidirected edges."""
+    then directed edges, then bidirected edges.  ``g`` must hold a node
+    for every one of its names; a derived graph that keeps fewer (such as
+    ``causal_path_graph``'s) raises :class:`PreconditionError`, because
+    its text would number the kept nodes afresh from 0."""
+    if len(g.nodes) != len(g.names):
+        raise PreconditionError(
+            f"cannot render a graph that keeps {len(g.nodes)} of its "
+            f"{len(g.names)} named nodes: the text would renumber them"
+        )
     lines = [f"node {g.names[v]}" for v in sorted(g.nodes)]
     lines += [f"{g.names[u]} -> {g.names[v]}" for u, v in sorted(g.directed_edges)]
     lines += [f"{g.names[u]} <-> {g.names[v]}" for u, v in sorted(g.bidirected_edges)]

@@ -4,8 +4,17 @@ import re
 
 import pytest
 
-from frontdoor import ADMG, CyclicGraphError, GraphError, ParseError, SelfLoopError
+from frontdoor import (
+    ADMG,
+    CyclicGraphError,
+    GraphError,
+    ParseError,
+    PreconditionError,
+    SelfLoopError,
+    build_graph,
+)
 from frontdoor.graph import NAME_RE
+from frontdoor.separation import causal_path_graph
 from frontdoor.textformat import parse_graph_file, parse_graph_text, render_graph_text
 
 
@@ -62,6 +71,19 @@ def test_round_trip(canon, intro):
 def test_round_trip_isolated_nodes():
     g = parse_graph_text("node Only\nnode Other\n")
     assert parse_graph_text(render_graph_text(g)) == g
+
+
+def test_render_rejects_graph_missing_nodes():
+    # a derived graph keeps its parent's names but not every node; its text
+    # would number the kept nodes from 0, so rendering it is refused
+    g = build_graph(["W", "X", "M", "Y"], [("X", "M"), ("M", "Y"), ("W", "Y")], [("X", "Y")])
+    cpg = causal_path_graph(g, g.indices(["X"]), g.indices(["Y"]))
+    assert cpg.names == ("W", "X", "M", "Y")
+    assert cpg.nodes == {1, 2, 3}
+    with pytest.raises(PreconditionError, match="keeps 3 of its 4 named nodes"):
+        render_graph_text(cpg)
+    kept = g.remove_outgoing(g.indices(["M"]))
+    assert parse_graph_text(render_graph_text(kept)) == kept
 
 
 def test_parse_arrows_need_no_spaces():
@@ -198,15 +220,24 @@ def _random_document(rng):
 
 
 def _outcome(parse, text):
+    """The error's type and message, or the graph's names, edges, child
+    rows (``==`` on graphs skips them) and the index of every name."""
     try:
         g = parse(text)
     except GraphError as exc:
         return type(exc), str(exc)
-    return g.names, sorted(g.directed_edges), sorted(g.bidirected_edges)
+    return (g.names, sorted(g.directed_edges), sorted(g.bidirected_edges),
+            g._children, [g.index_of(name) for name in g.names])
 
 
 def test_parse_matches_reference_on_random_documents():
     rng = random.Random(1301)
+    parsed = 0
     for _ in range(20000):
         text = _random_document(rng)
-        assert _outcome(parse_graph_text, text) == _outcome(_reference_parse, text), repr(text)
+        got = _outcome(parse_graph_text, text)
+        assert got == _outcome(_reference_parse, text), repr(text)
+        if len(got) == 5:  # a graph, not an error
+            assert got[4] == list(range(len(got[0]))), repr(text)
+            parsed += 1
+    assert parsed > 2000
