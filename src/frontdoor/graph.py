@@ -83,7 +83,7 @@ class ADMG:
 
     @staticmethod
     def _check_index(v, n):
-        if not isinstance(v, int) or not 0 <= v < n:
+        if type(v) is not int or not 0 <= v < n:
             raise UnknownNodeError(f"node index {v!r} out of range")
 
     def _finish(self, names, index, parents, children, spouses) -> "ADMG":

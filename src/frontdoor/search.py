@@ -4,10 +4,10 @@
 ``r``, answers ``feasible(i, r)``: the largest set ``z`` with
 ``i ⊆ z ⊆ r`` satisfying the front-door criterion, or ``None``.  Every
 d-separation question here goes to the one Bayes-ball search of
-:mod:`frontdoor.separation`, which can start with a pool's outgoing
-edges cut.  Stage 1 keeps the members of ``r`` with no open back-door
-path from ``x``: those outside that search from ``x`` with an empty
-pool (computed once for the root).  A pool that misses some causal
+:mod:`frontdoor.separation`, which cuts the edges out of a set in place.
+Stage 1 keeps the members of ``r`` with no open back-door path from
+``x``: those outside that search from ``x`` with the edges out of ``x``
+cut (computed once for the root).  A pool that misses some causal
 path is rejected at once: interception is monotone, so no subset can hit
 that path.  Stage 2 (:func:`~frontdoor.separation.blocking_survivors`)
 shrinks the pool to the largest subset meeting the third condition, with
@@ -23,8 +23,8 @@ avoiding ``z`` does (cut the walk at its last ``x`` node and its first
 ``find_adjustment_set`` is ``feasible(i, r)`` at the root, and
 ``list_adjustment_sets`` walks an include/exclude tree of such checks
 over one engine.  ``check_criterion`` tests condition 1 with the same
-interception walk, whose missed causal path is the witness, and
-conditions 2 and 3 with the search and an empty pool.
+interception walk and conditions 2 and 3 with one search each, with no
+graph copied; each witness path is read off its walk or search.
 """
 
 from __future__ import annotations
@@ -34,17 +34,16 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import OverlappingSetsError, PreconditionError
-from .graph import ADMG, VarSet
+from .graph import ADMG, EMPTY, VarSet
 from .separation import (
+    _path_to,
+    _search,
     blocking_survivors,
     causal_path_graph,  # noqa: F401  (unused; only bench/tracing.py wraps it here)
-    connecting_path,
+    connecting_path,  # noqa: F401  (unused; only bench/tracing.py wraps it here)
     format_path,
     is_separated,  # noqa: F401  (unused; only bench/tracing.py wraps it here)
-    reachable,
 )
-
-EMPTY: VarSet = frozenset()
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,9 @@ def _missed_causal_path(g: ADMG, x: VarSet, y: VarSet, z: VarSet) -> list[int] |
 
 def check_criterion(g: ADMG, x: Iterable[int], y: Iterable[int], z: Iterable[int]) -> CriterionReport:
     """Evaluate the three front-door conditions for ``z`` relative to
-    ``(x, y)`` and report a witness path for the first failure."""
+    ``(x, y)`` and report a witness path for the first failure, read off
+    the one walk or search of ``g`` (no copy) that tests it: for
+    condition 2, the first path found to its lowest-index bad member."""
     x = g.check_vars(x)
     y = g.check_vars(y)
     z = g.check_vars(z)
@@ -148,23 +149,19 @@ def check_criterion(g: ADMG, x: Iterable[int], y: Iterable[int], z: Iterable[int
         raise OverlappingSetsError("x, y and z must be pairwise disjoint")
 
     missed = _missed_causal_path(g, x, y, z)
-    cond1 = missed is None
-
-    gx = g.remove_outgoing(x)
-    bad = sorted(z & reachable(gx, x, EMPTY))
-    cond2 = not bad
-
-    gz = g.remove_outgoing(z)
-    path3 = connecting_path(gz, z, y, x) if z else None
-    cond3 = path3 is None
+    pred2 = _search(g, x, EMPTY, fixed=x)[0]
+    bad = z.intersection(v for v, _ in pred2)
+    pred3, hit3, _ = _search(g, z, x, b=y, fixed=z)
+    cond1, cond2, cond3 = missed is None, not bad, hit3 is None
 
     witness = None
     if not cond1:
         witness = " -> ".join(g.names[v] for v in missed)
     elif not cond2:
-        witness = format_path(gx, connecting_path(gx, x, frozenset(bad[:1]), EMPTY))
+        first = min(bad)
+        witness = format_path(g, _path_to(pred2, next(s for s in pred2 if s[0] == first)))
     elif not cond3:
-        witness = format_path(gz, path3)
+        witness = format_path(g, _path_to(pred3, hit3))
     return CriterionReport(cond1, cond2, cond3, witness)
 
 
@@ -186,7 +183,7 @@ def second_condition_candidates(g: ADMG, x: VarSet, i: VarSet, r: VarSet) -> Var
         raise OverlappingSetsError("r may not overlap x")
     if not i <= r:
         raise PreconditionError("i must be a subset of r")
-    open_from_x = reachable(g.remove_outgoing(x), x, EMPTY) & r
+    open_from_x = r.intersection(v for v, _ in _search(g, x, EMPTY, fixed=x)[0])
     return None if i & open_from_x else r - open_from_x
 
 

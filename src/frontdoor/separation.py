@@ -5,13 +5,14 @@ One Bayes-ball search (Shachter, "Bayes-Ball: The Rational Pastime", UAI
 states ``(node, direction of entry)`` instead of enumerating paths: a
 junction at a node is a collider exactly when both touching edge ends
 carry arrowheads, and the search crosses it only when the d-separation
-rules leave it open.  It also takes a pool whose outgoing edges start
-cut, and drops each member it reaches (the front-door criterion's stage
-2).  ``is_separated`` and ``connecting_path`` run it with an empty pool
-up to the first node of the target set and report whether and by which
-path it got there; ``reachable`` runs it to the end and returns every
-node it reaches, answering a d-separation question for each node at
-once; ``blocking_survivors`` returns the pool members it never reaches.
+rules leave it open.  Edges out of a fixed set stay cut, with no graph
+copied; edges out of a pool start cut, and the search drops each member
+it reaches (the front-door criterion's stage 2).  ``is_separated`` and
+``connecting_path`` run it with an empty pool up to the first node of the
+target set and report whether and by which path it got there;
+``reachable`` runs it to the end and returns every node it reaches,
+answering a d-separation question for each node at once;
+``blocking_survivors`` returns the pool members it never reaches.
 
 ``causal_path_graph`` builds the graph of the proper causal paths from
 ``x`` to ``y`` in one pass.  The front-door engine does not use it: it
@@ -29,16 +30,18 @@ from .graph import ADMG, EMPTY, VarSet
 _TAIL, _HEAD, _FREE = 0, 1, 2
 
 
-def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMPTY, state=None):
-    """Breadth-first search for open paths from ``a`` given ``c`` in ``g``
-    with the outgoing edges of ``pool`` cut, dropping each pool member it
-    reaches.
+def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMPTY, state=None,
+            fixed: VarSet = EMPTY):
+    """Breadth-first search for open paths from ``a`` given ``c`` in
+    ``g.remove_outgoing(fixed)``, without the copy, with the outgoing edges
+    of ``pool`` cut, dropping each pool member it reaches.
 
-    Returns ``(pred, hit, kept)``: ``pred`` maps each reached state to the
-    state and edge symbol (``->``, ``<-``, ``<->``) it was reached by (None
-    for the start states in ``a``), ``hit`` is the first state reached in
-    ``b``, where the search stops, or None once it has run to the end, and
-    ``kept`` holds the pool members it never reached.
+    Returns ``(pred, hit, kept)``: ``pred`` maps each reached state, in the
+    order reached, to the state and edge symbol (``->``, ``<-``, ``<->``)
+    it was reached by (None for the start states in ``a``), ``hit`` is the
+    first state reached in ``b``, where the search stops, or None once it
+    has run to the end, and ``kept`` is ``fixed`` and the pool members it
+    never reached.
 
     A member is dropped when one of its states is first dequeued.  A drop
     only adds edges (the member's outgoing ones) and only grows the
@@ -58,10 +61,11 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
     ``state``, when given, is ``(pred, anc, shut, cut)``, the containers
     the search works in, kept by the caller.  Empty, they start a fresh
     search; a copy of a finished run's resumes it: each member of its
-    ``cut`` outside ``pool`` is queued as ``(v, _FREE)``, which runs only
-    the drop step, and the queue runs to the end.  Freeing, like a drop,
-    only adds edges and grows the ancestors of ``c``, so the result is a
-    fresh search's with ``pool`` and only the states it opens are expanded.
+    ``cut`` outside ``pool`` and ``fixed`` is queued as ``(v, _FREE)``,
+    which runs only the drop step, and the queue runs to the end.  Freeing,
+    like a drop, only adds edges and grows the ancestors of ``c``, so the
+    result is a fresh search's with ``pool`` and only the states it opens
+    are expanded.
     """
     pred, anc, shut, cut = ({}, set(), set(), set()) if state is None else state
     # anc: ancestors of c once the outgoing edges of cut are gone;
@@ -97,9 +101,9 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
                     todo.append(p)
 
     if pred:
-        queue.extend((v, _FREE) for v in sorted(cut - pool))
+        queue.extend((v, _FREE) for v in sorted(cut - pool - fixed))
     else:
-        cut.update(pool)
+        cut.update(pool, fixed)
         add_ancestors(c)
         for s in sorted(a):
             pred[(s, _TAIL)] = None
@@ -109,19 +113,22 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
         v, mark = frm
         children = g.children_of(v)
         if v in cut:
-            cut.discard(v)
-            if not anc.isdisjoint(children):
-                add_ancestors((v,))
-            # the first seen child state whose parent exits are open leaves to v
-            for w in children:
-                if (w, _TAIL) in pred and w not in c:
-                    push((v, _TAIL), (w, _TAIL), "<-")
-                    break
-                if (w, _HEAD) in pred and w in anc:
-                    push((v, _TAIL), (w, _HEAD), "<-")
-                    break
-            if mark == _FREE:  # freed by a resume, not reached
-                continue
+            if v in fixed:
+                children = EMPTY
+            else:
+                cut.discard(v)
+                if not anc.isdisjoint(children):
+                    add_ancestors((v,))
+                # the first seen child state whose parent exits are open leaves to v
+                for w in children:
+                    if (w, _TAIL) in pred and w not in c:
+                        push((v, _TAIL), (w, _TAIL), "<-")
+                        break
+                    if (w, _HEAD) in pred and w in anc:
+                        push((v, _TAIL), (w, _HEAD), "<-")
+                        break
+                if mark == _FREE:  # freed by a resume, not reached
+                    continue
         # Leaving through a tail (v -> w) never makes v a collider;
         # leaving through a head (v <- w, v <-> w) does iff we entered
         # through a head.  c blocks every exit but a collider's, and an
@@ -164,9 +171,12 @@ def connecting_path(g: ADMG, a, b, c):
     ``nodes[i+1]``, or None when the sets are separated."""
     a, b, c = _separation_query(g, a, b, c)
     pred, hit, _ = _search(g, a, c, b=b)
-    if hit is None:
-        return None
-    nodes, kinds, state = [hit[0]], [], hit
+    return None if hit is None else _path_to(pred, hit)
+
+
+def _path_to(pred, state):
+    """The path by which ``_search``'s ``pred`` first reached ``state``."""
+    nodes, kinds = [state[0]], []
     while pred[state] is not None:
         state, kind = pred[state]
         nodes.append(state[0])

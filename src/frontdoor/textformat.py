@@ -7,11 +7,16 @@ around them (``A->B``), and ``node -> A`` is an edge from a node named
 Nodes may be declared implicitly by first use; repeating an edge is
 harmless.  ``parse_graph_file`` ignores a leading UTF-8 byte-order mark.
 
-A parse is one pass: each statement is matched once and fills the
-graph's parent, child and spouse rows as it is read, and each name is
-checked against ``NAME_RE`` once, when it is first seen.  The rows then
-go to the same finisher that ends ``ADMG(...)`` (it freezes them and
-checks acyclicity), so a parsed graph is not validated a second time.
+A parse is one pass that splits each line, less any comment, on
+whitespace.  Three tokens with an arrow in the middle, or two after
+``node``, are read straight off; any other line goes to ``_STMT``.  This
+is exact: ``\\s`` and ``str.split`` agree on every code point, and
+``_STMT``'s groups hold no whitespace, so on such a line its lazy groups
+capture exactly those tokens (a shorter first one would leave two tokens
+for the last), and an invalid name's column is taken from ``_STMT`` once
+the name is rejected.  Each name is checked against ``NAME_RE`` once,
+when first seen, and the rows go to the finisher that ends ``ADMG(...)``
+(it freezes them and checks acyclicity), so nothing is validated twice.
 
 ``parse_graph_text(render_graph_text(g))`` reproduces ``g`` exactly,
 node order included, for every graph whose nodes are all the indices of
@@ -36,12 +41,11 @@ def parse_graph_text(text: str) -> ADMG:
     children: list[set[int]] = []
     spouses: list[set[int]] = []
 
-    def declare(m: re.Match, group: int, line_no: int) -> int:
-        """Index a name not seen before, after checking it against
-        ``NAME_RE``; it enters ``seen`` only if it passes."""
-        name = m.group(group)
+    def declare(name: str, line: str, group: int, line_no: int) -> int:
+        """Index a new name that passes ``NAME_RE``; else raise at its ``_STMT`` group."""
         if not NAME_RE.match(name):
-            raise ParseError(line_no, m.start(group) + 1, f"invalid node name {name!r}")
+            column = _STMT.match(line).start(group) + 1
+            raise ParseError(line_no, column, f"invalid node name {name!r}")
         idx = seen[name] = len(names)
         names.append(name)
         parents.append(set())
@@ -49,29 +53,32 @@ def parse_graph_text(text: str) -> ADMG:
         spouses.append(set())
         return idx
 
-    match = _STMT.match
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        m = match(line)
-        if m is None:
-            if not line.strip():
-                continue
-            column = len(line) - len(line.lstrip()) + 1
-            raise ParseError(
-                line_no, column,
-                "expected `node NAME`, `A -> B`, or `A <-> B`",
-            )
-        name, left, arrow, right = m.groups()
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        tokens = line.split()
+        if len(tokens) == 3 and tokens[1] in ("->", "<->"):
+            name, left, arrow, right = None, *tokens
+        elif len(tokens) == 2 and tokens[0] == "node":
+            name = tokens[1]
+        elif not tokens:
+            continue
+        else:
+            m = _STMT.match(line)
+            if m is None:
+                column = len(line) - len(line.lstrip()) + 1
+                raise ParseError(line_no, column, "expected `node NAME`, `A -> B`, or `A <-> B`")
+            name, left, arrow, right = m.groups()
         if name is not None:
             if name not in seen:
-                declare(m, 1, line_no)
+                declare(name, line, 1, line_no)
             continue
         u = seen.get(left)
         if u is None:
-            u = declare(m, 2, line_no)
+            u = declare(left, line, 2, line_no)
         v = seen.get(right)
         if v is None:
-            v = declare(m, 4, line_no)
+            v = declare(right, line, 4, line_no)
         if u == v:
             raise SelfLoopError(f"line {line_no}: self-loop on {names[u]!r}")
         if arrow == "->":

@@ -2,6 +2,7 @@ import pytest
 
 import frontdoor
 from frontdoor import (
+    ADMG,
     CyclicGraphError,
     DuplicateNodeError,
     SelfLoopError,
@@ -55,6 +56,15 @@ def test_kinship_closures(canon):
     assert canon.ancestors(ix(canon, "Y")) == ix(canon, "X,Z,Y")
     assert canon.descendants(ix(canon, "Z")) == ix(canon, "Z,Y")
     assert canon.ancestors(frozenset()) == frozenset()
+
+
+@pytest.mark.parametrize("edge", [(True, 1), (False, 1), (0, True)])
+def test_constructor_rejects_bool_index(edge):
+    # bool is a subclass of int: True must not stand for node 1
+    with pytest.raises(UnknownNodeError):
+        ADMG(["A", "B"], [edge])
+    with pytest.raises(UnknownNodeError):
+        ADMG(["A", "B"], bidirected=[edge])
 
 
 def test_closure_rejects_foreign_index(canon):

@@ -16,8 +16,8 @@ from frontdoor import (
     third_condition_candidates,
 )
 from frontdoor.graph import ADMG
-from frontdoor.search import AdjustmentQuery, FrontDoorEngine
-from frontdoor.separation import blocking_survivors
+from frontdoor.search import AdjustmentQuery, FrontDoorEngine, _missed_causal_path
+from frontdoor.separation import blocking_survivors, connecting_path, format_path, reachable
 
 from conftest import ix
 from oracle import (
@@ -28,7 +28,7 @@ from oracle import (
     random_admg,
     survivors_fixed_point,
 )
-from test_acceptance import _scaling_admg
+from test_acceptance import _corpus, _ordered_pairs, _scaling_admg
 
 
 # -- criterion checker -------------------------------------------------
@@ -115,6 +115,66 @@ def test_check_witnesses_are_real_paths():
             assert all(k == "->" for k in kinds)
             assert idx[0] in x and idx[-1] in y
             assert not (set(idx) & z)
+
+
+def _reference_check(g, x, y, z):
+    """``check_criterion`` as it was on two graph copies: conditions 2 and 3
+    ran on ``remove_outgoing(x)`` and ``remove_outgoing(z)``, and condition
+    2's witness came from a second search, ``connecting_path``."""
+    missed = _missed_causal_path(g, x, y, z)
+    gx = g.remove_outgoing(x)
+    bad = sorted(z & reachable(gx, x, frozenset()))
+    gz = g.remove_outgoing(z)
+    path3 = connecting_path(gz, z, y, x) if z else None
+    witness = None
+    if missed is not None:
+        witness = " -> ".join(g.names[v] for v in missed)
+    elif bad:
+        witness = format_path(gx, connecting_path(gx, x, frozenset(bad[:1]), frozenset()))
+    elif path3 is not None:
+        witness = format_path(gz, path3)
+    return missed is None, not bad, path3 is None, witness
+
+
+def _report(g, x, y, z):
+    r = check_criterion(g, x, y, z)
+    return r.condition1, r.condition2, r.condition3, r.witness
+
+
+def test_check_matches_two_copy_reference_on_corpus():
+    # every ordered pair of every corpus graph, with seeded random sets z:
+    # all four fields agree, witnesses included
+    rng = random.Random(1601)
+    failed = [0, 0, 0]
+    for _, g in _corpus():
+        for x, y in _ordered_pairs(g):
+            rest = sorted(g.nodes - x - y)
+            for _ in range(3):
+                z = frozenset(v for v in rest if rng.random() < 0.5)
+                got = _report(g, x, y, z)
+                assert got == _reference_check(g, x, y, z), (g.names, x, y, z)
+                if got[3] is not None:
+                    failed[got[:3].index(False)] += 1
+    assert min(failed) > 1000  # each condition's witness is exercised
+
+
+def test_check_matches_two_copy_reference_at_scale():
+    # the cli benchmark's large checks (half the nodes as z, x=V1,
+    # y=V(3n/4)), and the stage-1 pool as z, which passes condition 2
+    rng = random.Random(1602)
+    failed = [0, 0, 0]
+    for n in range(200, 801, 100):
+        for seed in range(1, 7):
+            g = _scaling_admg(n, seed)
+            x, y = frozenset({1}), frozenset({3 * n // 4})
+            rest = g.nodes - x - y
+            for z in (frozenset(rng.sample(sorted(rest), n // 2)),
+                      second_condition_candidates(g, x, frozenset(), rest)):
+                got = _report(g, x, y, z)
+                assert got == _reference_check(g, x, y, z), (n, seed, z)
+                if got[3] is not None:
+                    failed[got[:3].index(False)] += 1
+    assert min(failed) >= 5
 
 
 # -- stage 1: no open back-door path into the candidate ------------------
@@ -348,9 +408,9 @@ def test_sole_interceptors_match_path_enumeration():
 
 
 def test_interception_builds_no_graph(monkeypatch):
-    # interception walks the query graph: find copies it once, for stage
-    # 1, and check_criterion twice, for conditions 2 and 3
-    g = _scaling_admg(200, 1)
+    # interception walks the query graph, and stage 1 and conditions 2 and
+    # 3 search it with the cut edges skipped: find, list and check copy no graph
+    g = _scaling_admg(200, 5)
     x, y = ix(g, "V1"), ix(g, "V150")
     built = []
     from_rows = ADMG._from_rows.__func__
@@ -362,10 +422,9 @@ def test_interception_builds_no_graph(monkeypatch):
     monkeypatch.setattr(ADMG, "_from_rows", classmethod(counted))
     z = find_adjustment_set(g, x, y)
     assert z is not None
-    assert len(built) == 1
-    built.clear()
+    assert len(list(list_adjustment_sets(g, x, y))) == 6
     assert check_criterion(g, x, y, z).satisfied
-    assert len(built) == 2
+    assert built == []
 
 
 def test_second_condition_pool_exactness():

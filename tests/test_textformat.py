@@ -17,6 +17,8 @@ from frontdoor.graph import NAME_RE
 from frontdoor.separation import causal_path_graph
 from frontdoor.textformat import parse_graph_file, parse_graph_text, render_graph_text
 
+from test_acceptance import _scaling_admg
+
 
 def test_parse_canonical(canon):
     g = parse_graph_text("X -> Z\nZ -> Y\nX <-> Y\n")
@@ -201,21 +203,21 @@ _PADS = ("", "", " ", " ", "  ", "\t")
 _ENDS = ("\n", "\n", "\r\n", "\r", "\x0c", "#", " # c\n")
 
 
-def _random_document(rng):
+def _random_document(rng, names=_NAMES, arrows=_ARROWS, pads=_PADS, ends=_ENDS):
     """One to four lines: mostly node and edge statements with random
     names, arrows and padding, some loose token soup."""
     lines = []
     for _ in range(rng.randint(1, 4)):
         kind = rng.random()
         if kind < 0.15:
-            parts = [rng.choice(_PADS), "node", rng.choice(_PADS), rng.choice(_NAMES)]
+            parts = [rng.choice(pads), "node", rng.choice(pads), rng.choice(names)]
         elif kind < 0.9:
-            parts = [rng.choice(_PADS), rng.choice(_NAMES), rng.choice(_PADS),
-                     rng.choice(_ARROWS), rng.choice(_PADS), rng.choice(_NAMES)]
+            parts = [rng.choice(pads), rng.choice(names), rng.choice(pads),
+                     rng.choice(arrows), rng.choice(pads), rng.choice(names)]
         else:
-            soup = _NAMES + _ARROWS + _PADS + _ENDS
+            soup = names + arrows + pads + ends
             parts = [rng.choice(soup) for _ in range(rng.randint(0, 4))]
-        lines.append("".join(parts) + rng.choice(_PADS) + rng.choice(_ENDS))
+        lines.append("".join(parts) + rng.choice(pads) + rng.choice(ends))
     return "".join(lines)
 
 
@@ -241,3 +243,35 @@ def test_parse_matches_reference_on_random_documents():
             assert got[4] == list(range(len(got[0]))), repr(text)
             parsed += 1
     assert parsed > 2000
+
+
+# Whitespace that is not ASCII (no-break space, em space, unit separator)
+# inside lines, line ends that are not ASCII, and comments glued to names
+# and arrows: the parser splits lines on whitespace, and must agree with
+# the regex reference on all of these.
+_WIDE_NAMES = _NAMES + ("A#", "B#x", "node#", "#A")
+_WIDE_ARROWS = _ARROWS + ("->#B", "-#>", "<-#>", "#->")
+_WIDE_PADS = _PADS + ("\xa0", "\u2003", "\x1f", " \xa0\t")
+_WIDE_ENDS = _ENDS + ("\x85", "\u2028", "\x1f\n", "#\u2028")
+
+
+def test_parse_matches_reference_on_documents_with_wide_whitespace():
+    rng = random.Random(1602)
+    parsed = 0
+    for _ in range(20000):
+        text = _random_document(rng, _WIDE_NAMES, _WIDE_ARROWS, _WIDE_PADS, _WIDE_ENDS)
+        got = _outcome(parse_graph_text, text)
+        assert got == _outcome(_reference_parse, text), repr(text)
+        parsed += len(got) == 5
+    assert parsed > 1000
+
+
+def test_round_trip_at_scale():
+    g = _scaling_admg(3200, 1)
+    back = parse_graph_text(render_graph_text(g))
+    assert back == g
+    assert back._children == g._children
+    # the rows also iterate in the same order: searches and walks visit
+    # neighbours in row order, which picks among equally short witnesses
+    for rows in ("_parents", "_children", "_spouses"):
+        assert list(map(list, getattr(back, rows))) == list(map(list, getattr(g, rows)))
