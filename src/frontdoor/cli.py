@@ -5,10 +5,13 @@ Subcommands: ``find`` one adjustment set, ``list`` all of them (streamed),
 ``estimand`` to print the adjustment formula.  Exit codes: 0 success with
 output, 1 valid query without a positive answer, 2 usage or input error.
 
-The argument parser is built on the first ``main`` call of a process and
-reused by every later one.  It holds no per-call state: ``parse_args``
-makes a fresh namespace each time, and help width and the output streams
-are looked up when help is printed.
+The parsers are built on the first ``main`` call of a process and reused
+by every later one; each parse makes a fresh namespace, and help width and
+streams are looked up when help is printed.  A call that starts with a
+subcommand goes straight to its parser (the top level would only classify
+every argument and pass them on), and the top-level parser reports what is
+left over, as ``parse_args`` does.  Every other call (no arguments, ``-h``,
+an unknown command, an option first) needs the top-level parser.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from .graph import ADMG, VarSet
 from .listing import list_adjustment_sets
 from .search import check_criterion, find_adjustment_set
 from .textformat import parse_graph_file
+
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}  # filled by _build_parser
 
 
 class _UsageError(Exception):
@@ -184,13 +189,20 @@ def _build_parser() -> argparse.ArgumentParser:
     est = subs.add_parser("estimand", help="print the adjustment formula for a set")
     _add_common(est, with_z=True)
     est.set_defaults(run=_cmd_estimand)
+    _COMMANDS.update(subs.choices)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args, extra = _COMMANDS[argv[0]].parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -20,6 +20,7 @@ from, so a VarSet computed on one graph stays meaningful on them.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -62,9 +63,7 @@ class ADMG:
                 raise DuplicateNodeError(f"node {name!r} declared twice")
             index[name] = i
         n = len(names)
-        parents = [set() for _ in range(n)]
-        children = [set() for _ in range(n)]
-        spouses = [set() for _ in range(n)]
+        parents, children, spouses = defaultdict(set), defaultdict(set), defaultdict(set)
         for u, v in directed:
             self._check_index(u, n)
             self._check_index(v, n)
@@ -89,21 +88,24 @@ class ADMG:
     def _finish(self, names, index, parents, children, spouses) -> "ADMG":
         """The last step of both ways of building a graph, ``__init__`` and
         :func:`frontdoor.textformat.parse_graph_text`: freeze the checked
-        rows (lists of sets over ``range(len(names))``), keep ``index``
-        (name to position) and check that the directed part is acyclic."""
+        rows (dicts from a node to its nonempty set of neighbours; all other
+        rows are ``EMPTY``), keep ``index`` and check acyclicity."""
         n = len(names)
         self.names = names
         self.nodes = frozenset(range(n))
         self._index = index
-        self._parents = tuple(map(frozenset, parents))
-        self._children = tuple(map(frozenset, children))
-        self._spouses = tuple(map(frozenset, spouses))
-        indeg = [len(p) for p in parents]
+        frozen = []
+        for rows in (parents, children, spouses):
+            frozen.append([EMPTY] * n)
+            for v, row in rows.items():
+                frozen[-1][v] = frozenset(row)
+        self._parents, self._children, self._spouses = map(tuple, frozen)
+        indeg = list(map(len, self._parents))
         stack = [v for v in range(n) if not indeg[v]]
         seen = 0
         while stack:
             seen += 1
-            for c in children[stack.pop()]:
+            for c in self._children[stack.pop()]:
                 indeg[c] -= 1
                 if not indeg[c]:
                     stack.append(c)

@@ -225,12 +225,17 @@ def format_path(g: ADMG, path) -> str:
 def proper_causal_path_nodes(g: ADMG, x: Iterable[int], y: Iterable[int]) -> VarSet:
     """Variables lying on proper causal paths from ``x`` to ``y``:
     descendants of ``x``, intersected with ancestors of ``y`` once edges
-    out of ``x`` are gone."""
+    out of ``x`` are gone (a walk up from ``y`` that skips ``x``)."""
     x = g.check_vars(x)
     y = g.check_vars(y)
     if x & y:
         raise OverlappingSetsError("x and y must be disjoint")
-    return (g.descendants(x) - x) & g.remove_outgoing(x).ancestors(y)
+    anc, todo = set(y), list(y)
+    while todo:
+        new = g.parents_of(todo.pop()) - x - anc
+        anc |= new
+        todo += new
+    return (g.descendants(x) - x) & anc
 
 
 def causal_path_graph(g: ADMG, x: Iterable[int], y: Iterable[int]) -> ADMG:

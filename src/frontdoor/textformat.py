@@ -8,15 +8,16 @@ Nodes may be declared implicitly by first use; repeating an edge is
 harmless.  ``parse_graph_file`` ignores a leading UTF-8 byte-order mark.
 
 A parse is one pass that splits each line, less any comment, on
-whitespace.  Three tokens with an arrow in the middle, or two after
-``node``, are read straight off; any other line goes to ``_STMT``.  This
-is exact: ``\\s`` and ``str.split`` agree on every code point, and
-``_STMT``'s groups hold no whitespace, so on such a line its lazy groups
-capture exactly those tokens (a shorter first one would leave two tokens
-for the last), and an invalid name's column is taken from ``_STMT`` once
-the name is rejected.  Each name is checked against ``NAME_RE`` once,
-when first seen, and the rows go to the finisher that ends ``ADMG(...)``
-(it freezes them and checks acyclicity), so nothing is validated twice.
+whitespace.  A ``->`` between two names already seen is added first;
+three tokens with an arrow in the middle, or two after ``node``, are read
+straight off; any other line goes to ``_STMT``.  This is exact:
+``\\s`` and ``str.split`` agree on every code point, and ``_STMT``'s
+groups hold no whitespace, so on such a line its lazy groups capture
+exactly those tokens (a shorter first one would leave two tokens for the
+last), and an invalid name's column is taken from ``_STMT`` once the name
+is rejected.  Each name is checked against ``NAME_RE`` once, when first
+seen, and only nonempty rows are made; they go to the finisher that ends
+``ADMG(...)``, which freezes them and checks acyclicity.
 
 ``parse_graph_text(render_graph_text(g))`` reproduces ``g`` exactly,
 node order included, for every graph whose nodes are all the indices of
@@ -27,6 +28,7 @@ its names: every parsed or built graph, and ``remove_outgoing`` of one.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 
 from .errors import ParseError, PreconditionError, SelfLoopError
 from .graph import ADMG, NAME_RE
@@ -37,26 +39,27 @@ _STMT = re.compile(r"\s*(?:node\s+(\S+)|(\S+?)\s*(<->|->)\s*(\S+?))\s*$")
 def parse_graph_text(text: str) -> ADMG:
     names: list[str] = []
     seen: dict[str, int] = {}
-    parents: list[set[int]] = []
-    children: list[set[int]] = []
-    spouses: list[set[int]] = []
+    parents, children, spouses = defaultdict(set), defaultdict(set), defaultdict(set)
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
 
-    def declare(name: str, line: str, group: int, line_no: int) -> int:
+    def declare(name: str, group: int, line_no: int) -> int:
         """Index a new name that passes ``NAME_RE``; else raise at its ``_STMT`` group."""
         if not NAME_RE.match(name):
-            column = _STMT.match(line).start(group) + 1
+            column = _STMT.match(lines[line_no - 1]).start(group) + 1
             raise ParseError(line_no, column, f"invalid node name {name!r}")
         idx = seen[name] = len(names)
         names.append(name)
-        parents.append(set())
-        children.append(set())
-        spouses.append(set())
         return idx
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        tokens = line.split()
+    for line_no, tokens in enumerate(map(str.split, lines), start=1):
+        if len(tokens) == 3 and tokens[1] == "->":
+            u, v = seen.get(tokens[0]), seen.get(tokens[2])
+            if u is not None and v is not None and u != v:
+                parents[v].add(u)
+                children[u].add(v)
+                continue
         if len(tokens) == 3 and tokens[1] in ("->", "<->"):
             name, left, arrow, right = None, *tokens
         elif len(tokens) == 2 and tokens[0] == "node":
@@ -64,6 +67,7 @@ def parse_graph_text(text: str) -> ADMG:
         elif not tokens:
             continue
         else:
+            line = lines[line_no - 1]
             m = _STMT.match(line)
             if m is None:
                 column = len(line) - len(line.lstrip()) + 1
@@ -71,14 +75,10 @@ def parse_graph_text(text: str) -> ADMG:
             name, left, arrow, right = m.groups()
         if name is not None:
             if name not in seen:
-                declare(name, line, 1, line_no)
+                declare(name, 1, line_no)
             continue
-        u = seen.get(left)
-        if u is None:
-            u = declare(left, line, 2, line_no)
-        v = seen.get(right)
-        if v is None:
-            v = declare(right, line, 4, line_no)
+        u = seen[left] if left in seen else declare(left, 2, line_no)
+        v = seen[right] if right in seen else declare(right, 4, line_no)
         if u == v:
             raise SelfLoopError(f"line {line_no}: self-loop on {names[u]!r}")
         if arrow == "->":

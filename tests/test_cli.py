@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import frontdoor
-from frontdoor.cli import main
+from frontdoor.cli import _build_parser, main
 
 INTRO_TEXT = """\
 X -> A
@@ -253,6 +253,40 @@ def test_reused_parser_after_exit(intro_file, capsys, argv, code, stream):
     assert run(capsys, "list", *query) == (0, INTRO_SETS, "")
 
 
+ROUTED_ARGVS = [
+    ("find", "-g", "{intro}", "-x", "X", "-y", "Y"),
+    ("list", "-g", "{intro}", "-x", "X", "-y", "Y", "--limit", "2", "--format", "json"),
+    ("check", "-g", "{intro}", "-x", "X", "-y", "Y", "-z", "B"),
+    ("estimand", "-g", "{intro}", "-x", "X", "-y", "Y", "-z", "A"),
+    ("find", "-g", "{intro}", "-x", "X", "-y", "Y", "--bogus"),
+    ("check", "-x", "X", "-y", "Y", "-z", "A"),
+    ("list", "-g", "{intro}", "-x", "X", "-y", "Y", "--limit", "1x"),
+    ("list", "-h"),
+    ("--help",),
+    (),
+    ("bogus", "-g", "{intro}"),
+    ("-x", "X", "find", "-g", "{intro}", "-y", "Y"),
+    ("find", "-g", "{intro}", "-x", "X", "-y", "Y", "--", "A"),
+]
+
+
+@pytest.mark.parametrize("argv", ROUTED_ARGVS)
+def test_routing_matches_top_level_parser(intro_file, capsys, argv):
+    # main hands a call that starts with a subcommand to that subcommand's
+    # parser; every call must read as it does through the top-level parser
+    argv = [arg.format(intro=intro_file) for arg in argv]
+
+    def through_top_level():
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code else 0
+        return args.run(args)
+
+    expected = (through_top_level(), *capsys.readouterr())
+    assert run(capsys, *argv) == expected
+
+
 def test_module_entry_point_exit_codes(intro_file):
     src = str(pathlib.Path(frontdoor.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
@@ -269,4 +303,7 @@ def test_module_entry_point_exit_codes(intro_file):
     assert (none.returncode, none.stdout) == (1, "none\n")
     bad = call("find", *query, "--bogus")
     assert (bad.returncode, bad.stdout) == (2, "")
-    assert "unrecognized arguments: --bogus" in bad.stderr
+    assert bad.stderr.splitlines() == [
+        "usage: frontdoor [-h] {find,list,check,estimand} ...",
+        "frontdoor: error: unrecognized arguments: --bogus",
+    ]

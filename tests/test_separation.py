@@ -19,7 +19,7 @@ from frontdoor.separation import _HEAD, _TAIL, _search, blocking_survivors
 
 from conftest import ix
 from oracle import d_separated_oracle, directed_paths, random_admg, survivors_fixed_point
-from test_acceptance import _scaling_admg
+from test_acceptance import _corpus, _scaling_admg
 
 
 def test_canonical_separations(canon):
@@ -75,6 +75,42 @@ def test_pcp(canon):
 def test_pcp_intro(intro):
     # frozen from evaluating both closures by hand: B is a dead end
     assert proper_causal_path_nodes(intro, ix(intro, "X"), ix(intro, "Y")) == ix(intro, "A,C,D,Y")
+
+
+def test_pcp_matches_closure_on_cut_graph():
+    # the walk up from y that skips x gives the ancestors of y once the
+    # edges out of x are gone, as the copy g.remove_outgoing(x) does
+    rng = random.Random(4242)
+    graphs = [g for _, g in _corpus()]
+    graphs += [random_admg(rng, rng.randint(3, 26), rng.choice((0.1, 0.2, 0.35)),
+                           max_bidirected=rng.randint(0, 4)) for _ in range(300)]
+    for g in graphs:
+        nodes = sorted(g.nodes)
+        for _ in range(3):
+            k = rng.randint(1, max(1, len(nodes) // 3))
+            picked = rng.sample(nodes, min(len(nodes), k + rng.randint(1, 3)))
+            x, y = frozenset(picked[:k]), frozenset(picked[k:])
+            if not y:
+                continue
+            old = (g.descendants(x) - x) & g.remove_outgoing(x).ancestors(y)
+            assert proper_causal_path_nodes(g, x, y) == old
+
+
+def test_causal_path_graph_builds_only_its_result(monkeypatch):
+    g = _scaling_admg(200, 5)
+    x, y = ix(g, "V1"), ix(g, "V150")
+    built = []
+    from_rows = ADMG._from_rows.__func__
+
+    def counted(cls, *rows):
+        built.append(rows)
+        return from_rows(cls, *rows)
+
+    monkeypatch.setattr(ADMG, "_from_rows", classmethod(counted))
+    assert proper_causal_path_nodes(g, x, y)
+    assert built == []
+    causal_path_graph(g, x, y)
+    assert len(built) == 1
 
 
 def test_causal_path_graph_canonical(canon):

@@ -13,11 +13,11 @@ from frontdoor import (
     SelfLoopError,
     build_graph,
 )
-from frontdoor.graph import NAME_RE
+from frontdoor.graph import EMPTY, NAME_RE
 from frontdoor.separation import causal_path_graph
 from frontdoor.textformat import parse_graph_file, parse_graph_text, render_graph_text
 
-from test_acceptance import _scaling_admg
+from test_acceptance import CORPUS, _scaling_admg
 
 
 def test_parse_canonical(canon):
@@ -275,3 +275,19 @@ def test_round_trip_at_scale():
     # neighbours in row order, which picks among equally short witnesses
     for rows in ("_parents", "_children", "_spouses"):
         assert list(map(list, getattr(back, rows))) == list(map(list, getattr(g, rows)))
+
+
+def test_empty_rows_are_the_shared_empty_set():
+    # a node without parents, children or spouses gets no row of its own:
+    # every empty row, parsed or built, is the one EMPTY
+    graphs = [
+        parse_graph_file(CORPUS / "007.cg"),
+        parse_graph_text(render_graph_text(_scaling_admg(800, 1))),
+        _scaling_admg(800, 1),
+        build_graph(["A", "B", "C"], [("A", "B")], [("B", "C")]),
+    ]
+    for g in graphs:
+        rows = [row for v in g.nodes
+                for row in (g.parents_of(v), g.children_of(v), g.spouses_of(v))]
+        empty = [row for row in rows if not row]
+        assert empty and all(row is EMPTY for row in empty)
