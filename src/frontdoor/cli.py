@@ -28,9 +28,6 @@ from .listing import list_adjustment_sets
 from .search import check_criterion, find_adjustment_set
 from .textformat import parse_graph_file
 
-_COMMANDS: dict[str, argparse.ArgumentParser] = {}  # filled by _build_parser
-
-
 class _UsageError(Exception):
     pass
 
@@ -165,7 +162,8 @@ def _add_common(sub, with_ir=False, with_z=False, with_format=True):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="frontdoor",
         description="Find and enumerate front-door adjustment sets in a causal diagram.",
@@ -189,16 +187,15 @@ def _build_parser() -> argparse.ArgumentParser:
     est = subs.add_parser("estimand", help="print the adjustment formula for a set")
     _add_common(est, with_z=True)
     est.set_defaults(run=_cmd_estimand)
-    _COMMANDS.update(subs.choices)
-    return parser
+    return parser, subs.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if argv and argv[0] in _COMMANDS:
-            args, extra = _COMMANDS[argv[0]].parse_known_args(argv[1:])
+        if argv and argv[0] in commands:
+            args, extra = commands[argv[0]].parse_known_args(argv[1:])
             if extra:
                 parser.error(f"unrecognized arguments: {' '.join(extra)}")
         else:

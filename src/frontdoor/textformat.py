@@ -8,16 +8,16 @@ Nodes may be declared implicitly by first use; repeating an edge is
 harmless.  ``parse_graph_file`` ignores a leading UTF-8 byte-order mark.
 
 A parse is one pass that splits each line, less any comment, on
-whitespace.  A ``->`` between two names already seen is added first;
-three tokens with an arrow in the middle, or two after ``node``, are read
-straight off; any other line goes to ``_STMT``.  This is exact:
-``\\s`` and ``str.split`` agree on every code point, and ``_STMT``'s
-groups hold no whitespace, so on such a line its lazy groups capture
-exactly those tokens (a shorter first one would leave two tokens for the
-last), and an invalid name's column is taken from ``_STMT`` once the name
-is rejected.  Each name is checked against ``NAME_RE`` once, when first
-seen, and only nonempty rows are made; they go to the finisher that ends
-``ADMG(...)``, which freezes them and checks acyclicity.
+whitespace.  Three tokens with an arrow in the middle, or two after
+``node``, are read straight off; any other line goes to ``_STMT``.  This
+is exact: ``\\s`` and ``str.split`` agree on every code point, and
+``_STMT``'s groups hold no whitespace, so on such a line its lazy groups
+capture exactly those tokens (a shorter first one would leave two tokens
+for the last), and an invalid name's column is taken from ``_STMT`` once
+the name is rejected.  Each name is checked against ``NAME_RE`` once,
+when first seen, and only nonempty rows are made; they go to the
+finisher that ends ``ADMG(...)``, which freezes them and checks
+acyclicity.
 
 ``parse_graph_text(render_graph_text(g))`` reproduces ``g`` exactly,
 node order included, for every graph whose nodes are all the indices of
@@ -54,12 +54,6 @@ def parse_graph_text(text: str) -> ADMG:
         return idx
 
     for line_no, tokens in enumerate(map(str.split, lines), start=1):
-        if len(tokens) == 3 and tokens[1] == "->":
-            u, v = seen.get(tokens[0]), seen.get(tokens[2])
-            if u is not None and v is not None and u != v:
-                parents[v].add(u)
-                children[u].add(v)
-                continue
         if len(tokens) == 3 and tokens[1] in ("->", "<->"):
             name, left, arrow, right = None, *tokens
         elif len(tokens) == 2 and tokens[0] == "node":
@@ -77,8 +71,12 @@ def parse_graph_text(text: str) -> ADMG:
             if name not in seen:
                 declare(name, 1, line_no)
             continue
-        u = seen[left] if left in seen else declare(left, 2, line_no)
-        v = seen[right] if right in seen else declare(right, 4, line_no)
+        u = seen.get(left)
+        if u is None:
+            u = declare(left, 2, line_no)
+        v = seen.get(right)
+        if v is None:
+            v = declare(right, 4, line_no)
         if u == v:
             raise SelfLoopError(f"line {line_no}: self-loop on {names[u]!r}")
         if arrow == "->":

@@ -278,7 +278,7 @@ def test_routing_matches_top_level_parser(intro_file, capsys, argv):
 
     def through_top_level():
         try:
-            args = _build_parser().parse_args(argv)
+            args = _build_parser()[0].parse_args(argv)
         except SystemExit as exc:
             return 2 if exc.code else 0
         return args.run(args)
