@@ -55,7 +55,8 @@ def parse_graph_text(text: str) -> ADMG:
 
     for line_no, tokens in enumerate(map(str.split, lines), start=1):
         if len(tokens) == 3 and tokens[1] in ("->", "<->"):
-            name, left, arrow, right = None, *tokens
+            name = None
+            left, arrow, right = tokens
         elif len(tokens) == 2 and tokens[0] == "node":
             name = tokens[1]
         elif not tokens:
