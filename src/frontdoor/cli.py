@@ -28,6 +28,7 @@ from .listing import list_adjustment_sets
 from .search import check_criterion, find_adjustment_set
 from .textformat import parse_graph_file
 
+
 class _UsageError(Exception):
     pass
 
