@@ -131,15 +131,18 @@ def from_obj(obj) -> Estimand:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"malformed estimand object: {obj!r}")
     (kind, body), = obj.items()
-    if kind == "prob":
-        return Prob(
-            tuple(_sym_from(s) for s in body["target"]),
-            tuple(_sym_from(s) for s in body["given"]),
-        )
-    if kind == "product":
-        return Product(tuple(from_obj(f) for f in body["factors"]))
-    if kind == "sum":
-        return Sum(tuple(_sym_from(s) for s in body["bound"]), from_obj(body["body"]))
+    try:
+        if kind == "prob":
+            return Prob(
+                tuple(_sym_from(s) for s in body["target"]),
+                tuple(_sym_from(s) for s in body["given"]),
+            )
+        if kind == "product":
+            return Product(tuple(from_obj(f) for f in body["factors"]))
+        if kind == "sum":
+            return Sum(tuple(_sym_from(s) for s in body["bound"]), from_obj(body["body"]))
+    except (KeyError, TypeError):  # a missing field, or one of the wrong type
+        raise ValueError(f"malformed estimand object: {obj!r}") from None
     raise ValueError(f"unknown estimand node kind {kind!r}")
 
 

@@ -171,8 +171,9 @@ class ADMG:
     def check_vars(self, vs: Iterable[int]) -> VarSet:
         vs = frozenset(vs)
         stray = vs - self.nodes
-        if stray:
-            raise UnknownNodeError(f"indices {sorted(stray)} are not nodes of this graph")
+        if stray:  # ints in order, then any others by their repr
+            stray = sorted(stray, key=lambda v: (0, v) if type(v) is int else (1, repr(v)))
+            raise UnknownNodeError(f"indices {stray} are not nodes of this graph")
         return vs
 
     # -- kinship closures ------------------------------------------------

@@ -36,6 +36,7 @@ from typing import Iterable
 from .errors import OverlappingSetsError, PreconditionError
 from .graph import ADMG, EMPTY, VarSet
 from .separation import (
+    _first_states,
     _path_to,
     _search,
     blocking_survivors,
@@ -150,7 +151,8 @@ def check_criterion(g: ADMG, x: Iterable[int], y: Iterable[int], z: Iterable[int
 
     missed = _missed_causal_path(g, x, y, z)
     pred2 = _search(g, x, EMPTY, fixed=x)[0]
-    bad = z.intersection(v for v, _ in pred2)
+    first2 = _first_states(pred2)
+    bad = z.intersection(first2)
     pred3, hit3, _ = _search(g, z, x, b=y, fixed=z)
     cond1, cond2, cond3 = missed is None, not bad, hit3 is None
 
@@ -158,8 +160,7 @@ def check_criterion(g: ADMG, x: Iterable[int], y: Iterable[int], z: Iterable[int
     if not cond1:
         witness = " -> ".join(g.names[v] for v in missed)
     elif not cond2:
-        first = min(bad)
-        witness = format_path(g, _path_to(pred2, next(s for s in pred2 if s[0] == first)))
+        witness = format_path(g, _path_to(pred2, first2[min(bad)]))
     elif not cond3:
         witness = format_path(g, _path_to(pred3, hit3))
     return CriterionReport(cond1, cond2, cond3, witness)
@@ -183,7 +184,7 @@ def second_condition_candidates(g: ADMG, x: VarSet, i: VarSet, r: VarSet) -> Var
         raise OverlappingSetsError("r may not overlap x")
     if not i <= r:
         raise PreconditionError("i must be a subset of r")
-    open_from_x = r.intersection(v for v, _ in _search(g, x, EMPTY, fixed=x)[0])
+    open_from_x = r.intersection(_first_states(_search(g, x, EMPTY, fixed=x)[0]))
     return None if i & open_from_x else r - open_from_x
 
 

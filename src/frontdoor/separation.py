@@ -2,17 +2,19 @@
 
 One Bayes-ball search (Shachter, "Bayes-Ball: The Rational Pastime", UAI
 1998) decides every d-separation question here, in linear time over
-states ``(node, direction of entry)`` instead of enumerating paths: a
-junction at a node is a collider exactly when both touching edge ends
-carry arrowheads, and the search crosses it only when the d-separation
-rules leave it open.  Edges out of a fixed set stay cut, with no graph
-copied; edges out of a pool start cut, and the search drops each member
-it reaches (the front-door criterion's stage 2).  ``is_separated`` and
-``connecting_path`` run it with an empty pool up to the first node of the
-target set and report whether and by which path it got there;
-``reachable`` runs it to the end and returns every node it reaches,
-answering a d-separation question for each node at once;
-``blocking_survivors`` returns the pool members it never reaches.
+states instead of enumerating paths.  A state is one int ``2*v + head``
+for node ``v`` entered through a head (``head`` 1) or a tail (0), and
+only this module reads them.  A junction at a node is a collider exactly
+when both touching edge ends carry arrowheads, and the search crosses it
+only when the d-separation rules leave it open.  Edges out of a fixed
+set stay cut, with no graph copied; edges out of a pool start cut, and
+the search drops each member it reaches (the front-door criterion's
+stage 2).  ``is_separated`` and ``connecting_path`` run it with an
+empty pool up to the first node of the target set and report whether and
+by which path it got there; ``reachable`` runs it to the end and returns
+every node it reaches, answering a d-separation question for each node
+at once; ``blocking_survivors`` returns the pool members it never
+reaches.
 
 ``causal_path_graph`` builds the graph of the proper causal paths from
 ``x`` to ``y`` in one pass.  The front-door engine does not use it: it
@@ -27,7 +29,7 @@ from typing import Iterable
 from .errors import OverlappingSetsError, PreconditionError
 from .graph import ADMG, EMPTY, VarSet
 
-_TAIL, _HEAD, _FREE = 0, 1, 2
+_TAIL, _HEAD = 0, 1
 
 
 def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMPTY, state=None,
@@ -36,12 +38,13 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
     ``g.remove_outgoing(fixed)``, without the copy, with the outgoing edges
     of ``pool`` cut, dropping each pool member it reaches.
 
-    Returns ``(pred, hit, kept)``: ``pred`` maps each reached state, in the
-    order reached, to the state and edge symbol (``->``, ``<-``, ``<->``)
-    it was reached by (None for the start states in ``a``), ``hit`` is the
-    first state reached in ``b``, where the search stops, or None once it
-    has run to the end, and ``kept`` is ``fixed`` and the pool members it
-    never reached.
+    A state is the int ``2*v + _HEAD`` or ``2*v + _TAIL``, node ``v``
+    entered through a head or a tail.  Returns ``(pred, hit, kept)``:
+    ``pred`` maps each reached state, in the order reached, to the state
+    and edge symbol (``->``, ``<-``, ``<->``) it was reached by (None for
+    the start states in ``a``), ``hit`` is the first state reached in
+    ``b``, where the search stops, or None once it has run to the end,
+    and ``kept`` is ``fixed`` and the pool members it never reached.
 
     A member is dropped when one of its states is first dequeued.  A drop
     only adds edges (the member's outgoing ones) and only grows the
@@ -60,9 +63,10 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
 
     ``state``, when given, is ``(pred, anc, shut, cut)``, the containers
     the search works in, kept by the caller.  Empty, they start a fresh
-    search; a copy of a finished run's resumes it: each member of its
-    ``cut`` outside ``pool`` and ``fixed`` is queued as ``(v, _FREE)``,
-    which runs only the drop step, and the queue runs to the end.  Freeing,
+    search; a copy of a finished run's resumes it: the tail state of each
+    member of its ``cut`` outside ``pool`` and ``fixed`` is queued, which,
+    not yet in ``pred``, runs only the drop step, and the queue runs to
+    the end.  Freeing,
     like a drop, only adds edges and grows the ancestors of ``c``, so the
     result is a fresh search's with ``pool`` and only the states it opens
     are expanded.
@@ -70,23 +74,24 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
     pred, anc, shut, cut = ({}, set(), set(), set()) if state is None else state
     # anc: ancestors of c once the outgoing edges of cut are gone;
     # shut: nodes whose head-entered state left no collider exit
-    queue: deque[tuple[int, int]] = deque()
+    parents, children, spouses = g._parents, g._children, g._spouses
+    queue: deque[int] = deque()
     hit = None
 
-    def push(state, frm, kind):
+    def push(s, frm, kind):
         nonlocal hit
-        if state not in pred:
-            pred[state] = (frm, kind)
-            queue.append(state)
-            if state[0] in b and hit is None:
-                hit = state
+        if s not in pred:
+            pred[s] = (frm, kind)
+            queue.append(s)
+            if s >> 1 in b and hit is None:
+                hit = s
 
     def leave_by_head(frm):
-        for p in g.parents_of(frm[0]):
+        for p in parents[frm >> 1]:
             if p not in cut:
-                push((p, _TAIL), frm, "<-")
-        for s in g.spouses_of(frm[0]):
-            push((s, _HEAD), frm, "<->")
+                push(2 * p, frm, "<-")
+        for s in spouses[frm >> 1]:
+            push(2 * s + 1, frm, "<->")
 
     def add_ancestors(vs):
         todo = [v for v in vs if v not in anc]
@@ -94,53 +99,74 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
         while todo:
             v = todo.pop()
             if v in shut:
-                leave_by_head((v, _HEAD))
-            for p in g.parents_of(v):
+                leave_by_head(2 * v + 1)
+            for p in parents[v]:
                 if p not in cut and p not in anc:
                     anc.add(p)
                     todo.append(p)
 
     if pred:
-        queue.extend((v, _FREE) for v in sorted(cut - pool - fixed))
+        # a freed member's tail state, queued unreached, runs only the drop step
+        queue.extend(2 * v for v in sorted(cut - pool - fixed))
     else:
         cut.update(pool, fixed)
         add_ancestors(c)
-        for s in sorted(a):
-            pred[(s, _TAIL)] = None
-            queue.append((s, _TAIL))
+        for v in sorted(a):
+            pred[2 * v] = None
+            queue.append(2 * v)
     while queue and hit is None:
         frm = queue.popleft()
-        v, mark = frm
-        children = g.children_of(v)
+        v = frm >> 1
+        kids = children[v]
         if v in cut:
             if v in fixed:
-                children = EMPTY
+                kids = EMPTY
             else:
+                freed = frm not in pred
                 cut.discard(v)
-                if not anc.isdisjoint(children):
+                if not anc.isdisjoint(kids):
                     add_ancestors((v,))
                 # the first seen child state whose parent exits are open leaves to v
-                for w in children:
-                    if (w, _TAIL) in pred and w not in c:
-                        push((v, _TAIL), (w, _TAIL), "<-")
+                for w in kids:
+                    if 2 * w in pred and w not in c:
+                        push(2 * v, 2 * w, "<-")
                         break
-                    if (w, _HEAD) in pred and w in anc:
-                        push((v, _TAIL), (w, _HEAD), "<-")
+                    if 2 * w + 1 in pred and w in anc:
+                        push(2 * v, 2 * w + 1, "<-")
                         break
-                if mark == _FREE:  # freed by a resume, not reached
+                if freed:  # freed by a resume, not reached
                     continue
         # Leaving through a tail (v -> w) never makes v a collider;
         # leaving through a head (v <- w, v <-> w) does iff we entered
         # through a head.  c blocks every exit but a collider's, and an
-        # open collider must be an ancestor of c.
+        # open collider must be an ancestor of c.  The pushes are written
+        # out here, where most are made: a call per edge costs more.
         if v in c:
-            if mark == _HEAD:
+            if frm & 1:
                 leave_by_head(frm)
             continue
-        for w in children:
-            push((w, _HEAD), frm, "->")
-        if mark == _TAIL or v in anc:
-            leave_by_head(frm)
+        for w in kids:
+            s = 2 * w + 1
+            if s not in pred:
+                pred[s] = (frm, "->")
+                queue.append(s)
+                if w in b and hit is None:
+                    hit = s
+        if not frm & 1 or v in anc:
+            for w in parents[v]:
+                s = 2 * w
+                if w not in cut and s not in pred:
+                    pred[s] = (frm, "<-")
+                    queue.append(s)
+                    if w in b and hit is None:
+                        hit = s
+            for w in spouses[v]:
+                s = 2 * w + 1
+                if s not in pred:
+                    pred[s] = (frm, "<->")
+                    queue.append(s)
+                    if w in b and hit is None:
+                        hit = s
         else:
             shut.add(v)
     return pred, hit, frozenset(cut)
@@ -174,12 +200,24 @@ def connecting_path(g: ADMG, a, b, c):
     return None if hit is None else _path_to(pred, hit)
 
 
+def _decode(state) -> tuple[int, int]:
+    """A ``_search`` state as ``(node, _TAIL or _HEAD)``, for readers of
+    ``pred`` that need the direction of entry too."""
+    return divmod(state, 2)
+
+
+def _first_states(pred) -> dict[int, int]:
+    """Each node that ``_search``'s ``pred`` reached, mapped to the first
+    state at it."""
+    return {s >> 1: s for s in reversed(pred)}
+
+
 def _path_to(pred, state):
     """The path by which ``_search``'s ``pred`` first reached ``state``."""
-    nodes, kinds = [state[0]], []
+    nodes, kinds = [state >> 1], []
     while pred[state] is not None:
         state, kind = pred[state]
-        nodes.append(state[0])
+        nodes.append(state >> 1)
         kinds.append(kind)
     return nodes[::-1], kinds[::-1]
 
@@ -196,8 +234,7 @@ def reachable(g: ADMG, a: Iterable[int], c: Iterable[int]) -> VarSet:
     c = frozenset(c) & g.nodes
     if a & c:
         raise OverlappingSetsError("endpoint and conditioning sets must be disjoint")
-    pred = _search(g, a, c)[0]
-    return frozenset(v for v, _ in pred) - c
+    return frozenset(_first_states(_search(g, a, c)[0])) - c
 
 
 def blocking_survivors(g: ADMG, x: VarSet, y: VarSet, pool: VarSet, state=None) -> VarSet:

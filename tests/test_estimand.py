@@ -64,6 +64,21 @@ def test_json_round_trip():
     assert obj["sum"]["bound"][0] == {"name": "A", "primed": False}
 
 
+def test_malformed_json_raises_value_error():
+    # a missing field or one of the wrong type is a ValueError naming the
+    # object that holds it, like a wrong kind or a non-object
+    for text, bad in (('{"prob": {}}', "{'prob': {}}"),
+                      ('{"product": {"factors": 5}}', "{'product': {'factors': 5}}"),
+                      ('{"sum": {"bound": [1], "body": {"product": {"factors": []}}}}',
+                       "{'sum': {'bound': [1], "),
+                      ('{"product": {"factors": [{"prob": {"target": 3}}]}}',
+                       "{'prob': {'target': 3}}"),
+                      ('{"mean": {}}', "'mean'"), ("[1]", "[1]")):
+        with pytest.raises(ValueError) as err:
+            estimand_from_json(text)
+        assert bad in str(err.value)
+
+
 def test_rendering_injective_over_sets():
     # distinct adjustment sets produce distinct strings
     rng = random.Random(11)

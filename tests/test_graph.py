@@ -95,6 +95,17 @@ def test_name_round_trips(intro):
         intro.index_of("missing")
 
 
+def test_unknown_indices_of_mixed_types(canon):
+    # strays that do not sort together still raise UnknownNodeError; the
+    # message for integer strays is unchanged
+    with pytest.raises(UnknownNodeError, match=r"indices \[7, 'Y'\] are not nodes"):
+        frontdoor.find_adjustment_set(canon, {0}, {"Y", 7})
+    with pytest.raises(UnknownNodeError, match=r"indices \[3, None\] are not nodes"):
+        canon.check_vars([None, 3, 1])
+    with pytest.raises(UnknownNodeError, match=r"^indices \[5, 9, 10\] are not nodes of this graph$"):
+        canon.check_vars([10, 5, 9, 0])
+
+
 def test_export_list():
     exported = frontdoor.__all__
     assert len(set(exported)) == len(exported)

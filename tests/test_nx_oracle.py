@@ -14,7 +14,13 @@ import pytest
 
 nx = pytest.importorskip("networkx")
 
-from frontdoor import check_criterion, is_separated, second_condition_candidates
+from frontdoor import (
+    check_criterion,
+    find_adjustment_set,
+    is_separated,
+    list_adjustment_sets,
+    second_condition_candidates,
+)
 from frontdoor.separation import blocking_survivors, reachable
 
 from oracle import random_admg
@@ -167,3 +173,54 @@ def test_check_criterion_matches_networkx():
             for k, ok in enumerate(verdicts):
                 failed[k] += not ok
     assert min(failed) >= 20
+
+
+def _largest_admissible(dag, x, y, i, r):
+    """The largest admissible set within ``[i, r]``, or None, after
+    ``bench/nxcheck.py``'s ``Dag.largest_admissible``: condition 2 holds
+    for a set iff it holds for each member, so every admissible set lies
+    in the pool of members passing it; dropping the pool members that
+    fail condition 3 until none is left keeps every set meeting it and
+    ends at the largest; and interception is monotone, so that set is the
+    answer iff it holds ``i`` and meets condition 1."""
+    pool = frozenset(r) - _connected(_cut(dag, x), set(x), set(r), set())
+    if not i <= pool:
+        return None
+    z = _nx_survivors(dag, x, y, pool)
+    rest = dag.subgraph(set(dag) - z)
+    if not i <= z or any(nx.has_path(rest, a, b) for a in x for b in y):
+        return None
+    return z
+
+
+def test_find_matches_networkx():
+    # find's set, or its None, is networkx's largest admissible set; on
+    # the random graphs, list streams sets that each pass networkx's three
+    # conditions, none twice, whose union is find's set, and nothing
+    # exactly when find has no answer
+    rng = random.Random(1919)
+    queries = [(_scaling_admg(n, seed), frozenset({xv}), frozenset({3 * n // 4}), frozenset(),
+                None, False) for n, seed in ((50, 1), (50, 2), (100, 3), (200, 1)) for xv in (0, 1)]
+    for _ in range(60):
+        g = random_admg(rng, rng.randint(20, 26), rng.choice((0.1, 0.15, 0.2)),
+                        max_bidirected=rng.randint(0, 8))
+        xv, yv = sorted(rng.sample(sorted(g.nodes), 2))
+        rest = sorted(g.nodes - {xv, yv})
+        r = frozenset(rng.sample(rest, rng.randint(1, 10)))
+        queries.append((g, frozenset({xv}), frozenset({yv}), _random_subset(rng, r, 0.1), r, True))
+    found, listed = [0, 0], 0
+    for g, x, y, i, r, laws in queries:
+        dag = _dag(g)
+        got = find_adjustment_set(g, x, y, i, r)
+        assert got == _largest_admissible(dag, x, y, i, g.nodes - x - y if r is None else r)
+        found[got is None] += 1
+        if not laws:
+            continue
+        sets = list(list_adjustment_sets(g, x, y, i, r))
+        assert len(set(sets)) == len(sets)
+        assert (got is None) == (not sets)
+        assert frozenset().union(*sets) == (got or frozenset())
+        for z in sets:
+            assert i <= z <= r and _nx_verdicts(dag, x, y, z) == (True, True, True)
+        listed += len(sets)
+    assert min(found) >= 20 and listed >= 300

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -15,7 +16,7 @@ from frontdoor import (
 )
 from frontdoor.graph import ADMG
 from frontdoor.search import _reached
-from frontdoor.separation import _HEAD, _TAIL, _search, blocking_survivors
+from frontdoor.separation import _HEAD, _TAIL, _decode, _first_states, _search, blocking_survivors
 
 from conftest import ix
 from oracle import d_separated_oracle, directed_paths, random_admg, survivors_fixed_point
@@ -284,12 +285,14 @@ def test_pool_search_links_are_edges():
         assert hit is None and kept <= pool
         anc = g.remove_outgoing(kept).ancestors(x)
         order = {state: k for k, state in enumerate(pred)}
-        for (w, mark), link in pred.items():
+        for s, link in pred.items():
+            w, mark = _decode(s)
             if link is None:
                 assert w in y and mark == _TAIL
                 continue
-            (v, entered), kind = link
-            assert order[v, entered] < order[w, mark]
+            frm, kind = link
+            v, entered = _decode(frm)
+            assert order[frm] < order[s]
             if kind == "->":
                 # a tail exit: shut at x, and cut out of a kept member
                 assert w in g.children_of(v) and mark == _HEAD
@@ -302,7 +305,7 @@ def test_pool_search_links_are_edges():
                 assert w in g.parents_of(v) and mark == _TAIL and w not in kept
             else:
                 assert kind == "<->" and w in g.spouses_of(v) and mark == _HEAD
-        assert {w for w, _ in pred} & pool == pool - kept
+        assert _first_states(pred).keys() & pool == pool - kept
         dropped += len(pool - kept)
     assert dropped > 1000
 
@@ -343,15 +346,146 @@ def test_resumed_search_matches_fresh():
             pred, hit, kept = _search(g, y, x, m - {v}, state=tuple(s.copy() for s in state))
             assert hit is None and kept == fresh
             order = {s: k for k, s in enumerate(pred)}
-            for (w, mark), link in pred.items():
+            for s, link in pred.items():
                 if link is not None:
-                    (u, entered), kind = link
+                    frm, kind = link
+                    w, u = _decode(s)[0], _decode(frm)[0]
                     edges = {"->": g.children_of, "<-": g.parents_of, "<->": g.spouses_of}[kind]
                     assert w in edges(u) and w not in kept
-                    assert order[u, entered] < order[w, mark]
+                    assert order[frm] < order[s]
             for step, start, walk in ((g.children_of, x, before), (g.parents_of, y, after)):
                 grown = _reached(step, m - kept, kept, walk)
                 assert grown.keys() == _reached(step, start, kept).keys()
             resumed += 1
             shrunk += kept != m - {v}
     assert resumed > 1000 and shrunk > 100
+
+
+def _reference_search(g, a, c, pool=frozenset(), b=frozenset(), state=None, fixed=frozenset()):
+    """``_search`` as it was on ``(node, mark)`` tuple states, with one
+    ``push`` call per edge; a resume queues each freed member as
+    ``(v, 2)``, which runs only the drop step."""
+    free = 2
+    pred, anc, shut, cut = ({}, set(), set(), set()) if state is None else state
+    queue = deque()
+    hit = None
+
+    def push(state, frm, kind):
+        nonlocal hit
+        if state not in pred:
+            pred[state] = (frm, kind)
+            queue.append(state)
+            if state[0] in b and hit is None:
+                hit = state
+
+    def leave_by_head(frm):
+        for p in g.parents_of(frm[0]):
+            if p not in cut:
+                push((p, _TAIL), frm, "<-")
+        for s in g.spouses_of(frm[0]):
+            push((s, _HEAD), frm, "<->")
+
+    def add_ancestors(vs):
+        todo = [v for v in vs if v not in anc]
+        anc.update(todo)
+        while todo:
+            v = todo.pop()
+            if v in shut:
+                leave_by_head((v, _HEAD))
+            for p in g.parents_of(v):
+                if p not in cut and p not in anc:
+                    anc.add(p)
+                    todo.append(p)
+
+    if pred:
+        queue.extend((v, free) for v in sorted(cut - pool - fixed))
+    else:
+        cut.update(pool, fixed)
+        add_ancestors(c)
+        for s in sorted(a):
+            pred[(s, _TAIL)] = None
+            queue.append((s, _TAIL))
+    while queue and hit is None:
+        frm = queue.popleft()
+        v, mark = frm
+        children = g.children_of(v)
+        if v in cut:
+            if v in fixed:
+                children = frozenset()
+            else:
+                cut.discard(v)
+                if not anc.isdisjoint(children):
+                    add_ancestors((v,))
+                for w in children:
+                    if (w, _TAIL) in pred and w not in c:
+                        push((v, _TAIL), (w, _TAIL), "<-")
+                        break
+                    if (w, _HEAD) in pred and w in anc:
+                        push((v, _TAIL), (w, _HEAD), "<-")
+                        break
+                if mark == free:
+                    continue
+        if v in c:
+            if mark == _HEAD:
+                leave_by_head(frm)
+            continue
+        for w in children:
+            push((w, _HEAD), frm, "->")
+        if mark == _TAIL or v in anc:
+            leave_by_head(frm)
+        else:
+            shut.add(v)
+    return pred, hit, frozenset(cut)
+
+
+def _record(run, state, decode=None):
+    """A search's ``pred`` items in order, ``hit``, ``kept`` and the
+    containers it left, with the states decoded by ``decode``."""
+    pred, hit, kept = run
+    if decode is None:
+        return list(pred.items()), hit, kept, state[1:]
+    items = [(decode(s), None if link is None else (decode(link[0]), link[1]))
+             for s, link in pred.items()]
+    return items, None if hit is None else decode(hit), kept, state[1:]
+
+
+def _kernel_queries():
+    rng = random.Random(1919)
+    graphs = [random_admg(rng, rng.randint(3, 26), rng.choice((0.1, 0.2, 0.35)),
+                          max_bidirected=rng.randint(0, 6)) for _ in range(250)]
+    graphs += [_scaling_admg(n, seed) for n in (80, 200, 400) for seed in (1, 2)]
+    for g in graphs:
+        nodes = sorted(g.nodes)
+        for _ in range(2):
+            picked = rng.sample(nodes, rng.randint(2, min(len(nodes), 6)))
+            a, b = frozenset(picked[:1]), frozenset(picked[1:2])
+            c = frozenset(v for v in picked[2:] if rng.random() < 0.7)
+            yield rng, g, a, b, c
+
+
+def test_search_matches_tuple_state_reference():
+    # the int-coded search reaches the same states in the same order, by
+    # the same links, as the tuple-state search it replaced, and leaves
+    # the same containers behind: fresh runs with and without a pool,
+    # ``fixed`` or a target ``b``, and resumes that each free one member
+    resumes = hits = 0
+    for rng, g, a, b, c in _kernel_queries():
+        rest = g.nodes - a - b - c
+        pool = frozenset(v for v in rest if rng.random() < 0.6)
+        for args, kw in (((a, c), {}), ((a, c), {"b": b}), ((a, frozenset()), {"fixed": a}),
+                         ((a, c), {"b": b, "fixed": a | pool}), ((b, a, pool), {}),
+                         ((b, a, rest), {})):
+            ours, ref = ({}, set(), set(), set()), ({}, set(), set(), set())
+            got = _record(_search(g, *args, **kw, state=ours), ours, _decode)
+            assert got == _record(_reference_search(g, *args, **kw, state=ref), ref)
+            hits += got[1] is not None
+            if "b" in kw or not args[2:]:
+                continue
+            kept = got[2]
+            for v in sorted(kept)[:8]:
+                ours_v = tuple(s.copy() for s in ours)
+                ref_v = tuple(s.copy() for s in ref)
+                assert (_record(_search(g, b, a, kept - {v}, state=ours_v), ours_v, _decode)
+                        == _record(_reference_search(g, b, a, kept - {v}, state=ref_v), ref_v))
+                resumes += 1
+    assert resumes > 1000 and hits > 100
