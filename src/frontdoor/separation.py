@@ -39,12 +39,13 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
     of ``pool`` cut, dropping each pool member it reaches.
 
     A state is the int ``2*v + _HEAD`` or ``2*v + _TAIL``, node ``v``
-    entered through a head or a tail.  Returns ``(pred, hit, kept)``:
-    ``pred`` maps each reached state, in the order reached, to the state
-    and edge symbol (``->``, ``<-``, ``<->``) it was reached by (None for
-    the start states in ``a``), ``hit`` is the first state reached in
-    ``b``, where the search stops, or None once it has run to the end,
-    and ``kept`` is ``fixed`` and the pool members it never reached.
+    entered through a head or a tail; only this module reads states.
+    Returns ``(pred, hit, kept)``: ``pred`` maps each reached state, in
+    the order reached, to the state and edge symbol (``->``, ``<-``,
+    ``<->``) it was reached by (None for the start states in ``a``),
+    ``hit`` is the first state reached in ``b``, where the search stops,
+    or None once it has run to the end, and ``kept`` is ``fixed`` and the
+    pool members it never reached.
 
     A member is dropped when one of its states is first dequeued.  A drop
     only adds edges (the member's outgoing ones) and only grows the
@@ -66,10 +67,9 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
     search; a copy of a finished run's resumes it: the tail state of each
     member of its ``cut`` outside ``pool`` and ``fixed`` is queued, which,
     not yet in ``pred``, runs only the drop step, and the queue runs to
-    the end.  Freeing,
-    like a drop, only adds edges and grows the ancestors of ``c``, so the
-    result is a fresh search's with ``pool`` and only the states it opens
-    are expanded.
+    the end.  Freeing, like a drop, only adds edges and grows the
+    ancestors of ``c``, so the result is a fresh search's with ``pool``
+    and only the states it opens are expanded.
     """
     pred, anc, shut, cut = ({}, set(), set(), set()) if state is None else state
     # anc: ancestors of c once the outgoing edges of cut are gone;
