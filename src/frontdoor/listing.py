@@ -17,15 +17,19 @@ the way, except those dropping a sole interceptor of a causal path,
 which hold no admissible set.  So every check that succeeds emits a set,
 the checks between two emissions stay within one root-to-leaf round
 trip (at most ``2n + 1``).  The root check runs one linear-time
-d-connection search and at most two forward walks from ``x``.  An
-exclude branch's check resumes the check of the node that stacked it:
-it copies that check's search state and walks, frees the pivot and
-grows them by what that opens, so no check costs more than a fresh
-O(n + m) one and the delay stays O(n(n + m)).  A node with exclude
-branches adds one walk back from ``y``.  The walk stores its stack and
-no answers: one check per tree level, O(n + m) each and shared by that
-node's stacked siblings, so memory is O(depth (n + m)) and does not
-grow with the output.
+d-connection search and one forward walk from ``x``, which it grows
+through the members that search drops.  An exclude branch's check
+resumes the check of the node that stacked it: it copies that check's
+search state, frees the pivot and runs on by what that opens.  The
+pivot was stacked because the rest intercepts every causal path, so the
+check walks only when its search drops more than the pivot, growing a
+copy of the stacking check's forward walk.  A node with exclude
+branches grows its forward walk, if its check made none, and one walk
+back from ``y``.  No check costs more than a fresh O(n + m) one, and
+the delay stays O(n(n + m)).  The walk stores its stack and no answers:
+one check per tree level, O(n + m) each and shared by that node's
+stacked siblings, so memory is O(depth (n + m)) and does not grow with
+the output.
 """
 
 from __future__ import annotations
@@ -67,13 +71,14 @@ def list_adjustment_sets(
 
     The stream is lazy and deterministic: consuming ``j`` items performs
     only the work needed for them and always produces the same prefix.
-    ``limit`` truncates the stream after that many sets; a negative one
-    raises :class:`PreconditionError` at once.  A ``stats`` object, when
-    given, is updated as the stream is consumed.
+    ``limit`` truncates the stream after that many sets; one that is not
+    an ``int`` (a ``bool`` included) or is negative raises
+    :class:`PreconditionError` at once.  A ``stats`` object, when given,
+    is updated as the stream is consumed.
     """
     query = AdjustmentQuery(g, x, y, i, r)
-    if limit is not None and limit < 0:
-        raise PreconditionError(f"limit must be None or at least 0, not {limit}")
+    if limit is not None and (type(limit) is not int or limit < 0):
+        raise PreconditionError(f"limit must be None or an int of at least 0, not {limit!r}")
     if stats is None:
         stats = ListStats()
 
@@ -97,7 +102,7 @@ def list_adjustment_sets(
             if not stack:
                 return
             base, parent, v = stack.pop()
-            inc = base | {p for p in parent.z if p < v}
-            rest = parent.z - {v}
+            inc = base.union(filter(v.__gt__, parent.z))
+            rest = parent.z.difference((v,))
 
     return walk() if limit is None else islice(walk(), limit)

@@ -269,11 +269,13 @@ def find_blocking_extension(
 
 class Check:
     """A check's set ``z``, its final stage-2 search state, ``forward(z)``
-    and, once :meth:`FrontDoorEngine.pivots` has made it, ``backward(z)``."""
+    and, once :meth:`FrontDoorEngine.pivots` has made it, ``backward(z)``.
+    ``before`` stays None for a resumed check whose stage 2 kept its whole
+    pool, until :meth:`FrontDoorEngine.pivots` needs the walk."""
 
     __slots__ = ("z", "state", "before", "after")
 
-    def __init__(self, z: VarSet, state: tuple, before: dict[int, int | None]):
+    def __init__(self, z: VarSet, state: tuple, before: dict[int, int | None] | None):
         self.z, self.state, self.before, self.after = z, state, before, None
 
 
@@ -288,9 +290,10 @@ class FrontDoorEngine:
     a listing makes.
 
     A check on a parent check's set less one member resumes the parent's
-    search from a copy of its state with the member freed and grows
-    copies of its walks: freeing only removes cuts and blocks, so all the
-    parent reached stays reached, and each ends where a fresh one would.
+    search from a copy of its state with the member freed, and grows
+    copies of the parent's walks when it needs them: freeing only removes
+    cuts and blocks, so all the parent reached stays reached, and each
+    ends where a fresh one would.
     """
 
     def __init__(self, query: AdjustmentQuery):
@@ -335,9 +338,12 @@ class FrontDoorEngine:
     def pivots(self, found: Check, parent: Check | None, i: VarSet) -> VarSet:
         """For ``found = largest(i, r, parent)``, the members ``v`` of
         ``found.z - i`` whose exclude branch ``found.z - {v}`` intercepts
-        every causal path; makes the backward walk those branches grow."""
+        every causal path; makes the forward walk, if ``largest`` left it
+        out, and the backward walk that those branches grow."""
         pivots = found.z - i
         if pivots:
+            if found.before is None:
+                found.before = self.forward(found.z, parent)
             found.after = self.backward(found.z, parent)
             pivots -= self.sole_interceptors(found.z, found.before, found.after)
         return pivots
@@ -348,24 +354,31 @@ class FrontDoorEngine:
         interval holds no admissible set.
 
         ``parent``, when given, is a check whose set is ``r`` plus one of
-        its ``pivots``: ``r`` intercepts every causal path, so no walk
-        tests it, and the check resumes ``parent``'s search and walks."""
-        pool = r & self.pool
-        if not i <= pool:
-            return None
+        its ``pivots``: ``r`` lies inside the stage-1 pool and intercepts
+        every causal path, and the check resumes ``parent``'s search.  When
+        stage 2 keeps all of ``r`` no walk tests it, and the check's
+        ``before`` stays None; when stage 2 drops more, it grows a copy of
+        ``parent``'s forward walk and tests that."""
         if parent is None:
+            pool = r & self.pool
+            if not i <= pool:
+                return None
             state, before = ({}, set(), set(), set()), self.forward(pool)
             if not self.y.isdisjoint(before):
                 return None
         else:
+            pool, before = r, None
             pred, anc, shut, cut = parent.state
             state = (pred.copy(), anc.copy(), shut.copy(), cut.copy())
         survivors = blocking_survivors(self.g, self.x, self.y, pool, state)
         if not i <= survivors:
             return None
-        # an unshrunk root pool was just seen to intercept every causal path
-        if parent is not None or survivors != pool:
-            before = self.forward(survivors, parent)
+        if len(survivors) < len(pool):  # survivors lie inside the pool
+            if parent is None:
+                # grow the pool's walk through the members stage 2 dropped
+                before = _reached(self.g.children_of, pool - survivors, survivors, before)
+            else:
+                before = self.forward(survivors, parent)
             if not self.y.isdisjoint(before):
                 return None
         return Check(survivors, state, before)

@@ -9,12 +9,15 @@ when both touching edge ends carry arrowheads, and the search crosses it
 only when the d-separation rules leave it open.  Edges out of a fixed
 set stay cut, with no graph copied; edges out of a pool start cut, and
 the search drops each member it reaches (the front-door criterion's
-stage 2).  ``is_separated`` and ``connecting_path`` run it with an
-empty pool up to the first node of the target set and report whether and
-by which path it got there; ``reachable`` runs it to the end and returns
-every node it reaches, answering a d-separation question for each node
-at once; ``blocking_survivors`` returns the pool members it never
-reaches.
+stage 2).  A listing check resumes its parent check's search from a
+copy of its containers and expands only the states that freeing one
+member opens, often one to three, so a call's fixed cost counts: the
+search builds no function per call and keeps its containers in locals.
+``is_separated`` and ``connecting_path`` run it with an empty pool up to
+the first node of the target set and report whether and by which path
+it got there; ``reachable`` runs it to the end and returns every node it
+reaches, answering a d-separation question for each node at once;
+``blocking_survivors`` returns the pool members it never reaches.
 
 ``causal_path_graph`` builds the graph of the proper causal paths from
 ``x`` to ``y`` in one pass.  The front-door engine does not use it: it
@@ -30,6 +33,50 @@ from .errors import OverlappingSetsError, PreconditionError
 from .graph import ADMG, EMPTY, VarSet
 
 _TAIL, _HEAD = 0, 1
+
+
+def _leave_by_head(frm, parents, spouses, cut, pred, queue, b):
+    """Push the exits of state ``frm`` through a head, to each parent of
+    its node outside ``cut`` and to each spouse, that ``pred`` has not
+    reached; returns the first state it pushes at a node of ``b``, or None."""
+    hit = None
+    v = frm >> 1
+    for w in parents[v]:
+        s = 2 * w
+        if w not in cut and s not in pred:
+            pred[s] = (frm, "<-")
+            queue.append(s)
+            if w in b and hit is None:
+                hit = s
+    for w in spouses[v]:
+        s = 2 * w + 1
+        if s not in pred:
+            pred[s] = (frm, "<->")
+            queue.append(s)
+            if w in b and hit is None:
+                hit = s
+    return hit
+
+
+def _add_ancestors(vs, parents, spouses, cut, anc, shut, pred, queue, b):
+    """Add ``vs`` and their ancestors along parents outside ``cut`` to
+    ``anc``; each new one in ``shut`` opens its head-entered state's
+    collider exit (:func:`_leave_by_head`).  Returns the first state it
+    pushes at a node of ``b``, or None."""
+    hit = None
+    todo = [v for v in vs if v not in anc]
+    anc.update(todo)
+    while todo:
+        v = todo.pop()
+        if v in shut:
+            s = _leave_by_head(2 * v + 1, parents, spouses, cut, pred, queue, b)
+            if hit is None:
+                hit = s
+        for p in parents[v]:
+            if p not in cut and p not in anc:
+                anc.add(p)
+                todo.append(p)
+    return hit
 
 
 def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMPTY, state=None,
@@ -60,7 +107,11 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
       that was expanded with its collider exit shut now leaves through it.
 
     Each state is expanded once, plus once more through its collider exit,
-    so the search is linear in the size of ``g``; no graph is copied.
+    so the search is linear in the size of ``g``; no graph is copied.  The
+    collider exits and the growth of the ancestors are the module
+    functions :func:`_leave_by_head` and :func:`_add_ancestors`, handed
+    the containers, so the containers stay locals here and a call builds
+    no function.
 
     ``state``, when given, is ``(pred, anc, shut, cut)``, the containers
     the search works in, kept by the caller.  Empty, they start a fresh
@@ -77,40 +128,12 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
     parents, children, spouses = g._parents, g._children, g._spouses
     queue: deque[int] = deque()
     hit = None
-
-    def push(s, frm, kind):
-        nonlocal hit
-        if s not in pred:
-            pred[s] = (frm, kind)
-            queue.append(s)
-            if s >> 1 in b and hit is None:
-                hit = s
-
-    def leave_by_head(frm):
-        for p in parents[frm >> 1]:
-            if p not in cut:
-                push(2 * p, frm, "<-")
-        for s in spouses[frm >> 1]:
-            push(2 * s + 1, frm, "<->")
-
-    def add_ancestors(vs):
-        todo = [v for v in vs if v not in anc]
-        anc.update(todo)
-        while todo:
-            v = todo.pop()
-            if v in shut:
-                leave_by_head(2 * v + 1)
-            for p in parents[v]:
-                if p not in cut and p not in anc:
-                    anc.add(p)
-                    todo.append(p)
-
     if pred:
         # a freed member's tail state, queued unreached, runs only the drop step
         queue.extend(2 * v for v in sorted(cut - pool - fixed))
     else:
         cut.update(pool, fixed)
-        add_ancestors(c)
+        _add_ancestors(c, parents, spouses, cut, anc, shut, pred, queue, b)
         for v in sorted(a):
             pred[2 * v] = None
             queue.append(2 * v)
@@ -124,15 +147,21 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
             else:
                 freed = frm not in pred
                 cut.discard(v)
-                if not anc.isdisjoint(kids):
-                    add_ancestors((v,))
+                if not anc.isdisjoint(kids):  # hit is None inside the loop
+                    hit = _add_ancestors((v,), parents, spouses, cut, anc, shut, pred, queue, b)
                 # the first seen child state whose parent exits are open leaves to v
-                for w in kids:
-                    if 2 * w in pred and w not in c:
-                        push(2 * v, 2 * w, "<-")
-                        break
-                    if 2 * w + 1 in pred and w in anc:
-                        push(2 * v, 2 * w + 1, "<-")
+                s = 2 * v
+                if s not in pred:
+                    for w in kids:
+                        if 2 * w in pred and w not in c:
+                            pred[s] = (2 * w, "<-")
+                        elif 2 * w + 1 in pred and w in anc:
+                            pred[s] = (2 * w + 1, "<-")
+                        else:
+                            continue
+                        queue.append(s)
+                        if v in b and hit is None:
+                            hit = s
                         break
                 if freed:  # freed by a resume, not reached
                     continue
@@ -143,7 +172,9 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
         # out here, where most are made: a call per edge costs more.
         if v in c:
             if frm & 1:
-                leave_by_head(frm)
+                s = _leave_by_head(frm, parents, spouses, cut, pred, queue, b)
+                if hit is None:
+                    hit = s
             continue
         for w in kids:
             s = 2 * w + 1

@@ -78,8 +78,10 @@ def test_limit(intro):
     assert len(list(list_adjustment_sets(intro, x, y, limit=2))) == 2
     assert list(list_adjustment_sets(intro, x, y, limit=0)) == []
     assert len(list(list_adjustment_sets(intro, x, y, limit=99))) == 4
-    with pytest.raises(PreconditionError):
-        list_adjustment_sets(intro, x, y, limit=-1)
+    # a bad limit is refused when the stream is created, not when it is read
+    for bad in (-1, 1.5, "2", True):
+        with pytest.raises(PreconditionError):
+            list_adjustment_sets(intro, x, y, limit=bad)
 
 
 def test_stats_counting(intro):
@@ -141,10 +143,11 @@ def test_first_set_costs_one_stage2_pass(monkeypatch):
 
 
 def test_listing_walks_forward_once_per_check(monkeypatch):
-    # each check walks forward from x once: the root afresh, every other
-    # check by growing its parent's walk.  The 162 sets of chain_family(5)
-    # with an undecided member need a walk back from y as well, also
-    # afresh only at the root.
+    # the root walks forward from x and back from y afresh.  A resumed
+    # check grows its parent's walks only when it has an undecided member
+    # (161 of the other 242 on chain_family(5)), one walk each way: the
+    # pivot that banned a member already proves the rest intercepts every
+    # causal path, and here stage 2 never drops more than the pivot.
     walks = []
     reached = search._reached
 
@@ -158,7 +161,7 @@ def test_listing_walks_forward_once_per_check(monkeypatch):
     assert sum(1 for _ in list_adjustment_sets(g, ix(g, "X"), ix(g, "Y"), stats=stats)) == 243
     assert stats.find_calls == 243
     assert Counter(walks) == {
-        ("children_of", "fresh"): 1, ("children_of", "grown"): 242,
+        ("children_of", "fresh"): 1, ("children_of", "grown"): 161,
         ("parents_of", "fresh"): 1, ("parents_of", "grown"): 161}
 
 
@@ -219,12 +222,13 @@ def _side_region(k, length):
     return g, ix(g, "X"), ix(g, "Y"), frozenset(), chains
 
 
-def test_resumed_checks_list_what_fresh_checks_do():
+def test_resumed_checks_list_what_fresh_checks_do(monkeypatch):
     # the same sets in the same order, after the same number of checks,
     # as the walk that checks afresh, on random queries with random
-    # (i, r), the scaling queries and a graph whose reached region lies
-    # off the causal paths
-    queries = []
+    # (i, r), the scaling queries, a graph whose reached region lies off
+    # the causal paths and a small query whose resumed checks walk
+    eager = _random_query(random.Random(218), 14)
+    queries = [eager]
     rng = random.Random(2024)
     while len(queries) < 120:
         q = _random_query(rng, rng.randint(20, 40))
@@ -245,6 +249,28 @@ def test_resumed_checks_list_what_fresh_checks_do():
         listed += len(got)
         nonempty += bool(got)
     assert nonempty >= 50 and listed > 15000
+
+    # A resumed check whose stage 2 drops more than its pivot is the only
+    # one that walks in ``largest``: the eager query has such checks that
+    # pass the walk and such checks that fail it.
+    walked, outcomes = [], []
+    reached, largest = search._reached, FrontDoorEngine.largest
+
+    def counted(step, start, z, walk=None):
+        walked.append(step.__name__)
+        return reached(step, start, z, walk)
+
+    def traced(self, i, r, parent=None):
+        walked.clear()
+        found = largest(self, i, r, parent)
+        if parent is not None and walked:
+            outcomes.append(found is not None)
+        return found
+
+    monkeypatch.setattr(search, "_reached", counted)
+    monkeypatch.setattr(FrontDoorEngine, "largest", traced)
+    assert len(list(list_adjustment_sets(*eager))) == 88
+    assert True in outcomes and False in outcomes
 
 
 def test_drains_large_query_in_bounded_work():
