@@ -98,7 +98,8 @@ def list_adjustment_sets(
             if found is not None:
                 stats.emitted += 1
                 yield found.z
-                stack.extend((inc, found, v) for v in sorted(engine.pivots(found, parent, inc)))
+                for v in sorted(engine.pivots(found, parent, inc)):
+                    stack.append((inc, found, v))
             if not stack:
                 return
             base, parent, v = stack.pop()

@@ -130,7 +130,8 @@ def _search(g: ADMG, a: VarSet, c: VarSet, pool: VarSet = EMPTY, b: VarSet = EMP
     hit = None
     if pred:
         # a freed member's tail state, queued unreached, runs only the drop step
-        queue.extend(2 * v for v in sorted(cut - pool - fixed))
+        for v in sorted(cut - pool - fixed):
+            queue.append(2 * v)
     else:
         cut.update(pool, fixed)
         _add_ancestors(c, parents, spouses, cut, anc, shut, pred, queue, b)
